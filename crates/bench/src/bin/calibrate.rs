@@ -3,41 +3,11 @@
 
 use std::time::Instant;
 
-use moa_bench::{format_table2, format_table3, run_suite_entry, suite_faults};
+use moa_bench::{format_table2, format_table3, run_suite_entry};
 use moa_circuits::suite::entry;
-use moa_core::{run_campaign, CampaignOptions};
-use moa_tpg::random_sequence;
 
 fn main() {
-    let mut names: Vec<String> = std::env::args().skip(1).collect();
-    // `--diff NAME` times the conventional-differential option against the
-    // full-evaluation default on one circuit.
-    if names.first().map(String::as_str) == Some("--diff") {
-        let name = names.get(1).cloned().unwrap_or_else(|| "s5378".into());
-        let e = entry(&name).expect("suite circuit");
-        let circuit = e.build();
-        let seq = random_sequence(&circuit, e.sequence_length, e.spec.seed);
-        let faults = suite_faults(&circuit);
-        for differential in [false, true] {
-            let start = Instant::now();
-            let r = run_campaign(
-                &circuit,
-                &seq,
-                &faults,
-                &CampaignOptions {
-                    differential,
-                    ..Default::default()
-                },
-            );
-            println!(
-                "{name} differential={differential}: detected {} in {:?}",
-                r.detected_total(),
-                start.elapsed()
-            );
-        }
-        return;
-    }
-    for name in names.drain(..) {
+    for name in std::env::args().skip(1) {
         let Some(e) = entry(&name) else {
             eprintln!("unknown suite circuit `{name}`");
             continue;

@@ -4,20 +4,22 @@
 //! For each suite circuit the command runs the same campaign twice at a
 //! fixed thread count:
 //!
-//! - **screened** — the optimized configuration: 64-way parallel-fault
-//!   conventional screening, differential conventional simulation, and the
-//!   cone-bounded implication/resimulation engines;
-//! - **legacy** — the pre-optimization configuration: scalar conventional
-//!   simulation per fault and whole-frame engines.
+//! - **screened** — the production configuration: the parallel-fault
+//!   conventional screening pre-pass in front of the per-fault procedure;
+//! - **unscreened** — the same engines without the pre-pass, so every fault
+//!   takes the per-fault differential conventional replay.
 //!
 //! The two runs must produce identical campaign results (verdict equality is
 //! asserted, not assumed); only the work differs. A third, untimed run
 //! repeats the screened configuration with certificate auditing enabled and
 //! reports its `audit_failed` count — any nonzero value fails the command.
 //!
-//! `--out FILE` writes a JSON report; `--check FILE` compares the screened
-//! faults/sec of this run against a previously committed report and fails on
-//! a more-than-2x regression for any shared circuit.
+//! `--out FILE` writes a JSON report; `--check FILE` compares this run
+//! against a previously committed report for every shared circuit: it fails
+//! on a more-than-2x regression of screened faults/sec, and on any
+//! difference in screened gate evaluations. Gate evaluations are
+//! deterministic and lane- and thread-invariant for a given lane width, so
+//! the check must run at the committed report's `--screen-lanes`.
 //!
 //! A separate *screening kernel* micro-benchmark isolates the packed
 //! parallel-fault pre-pass: the full fault list is screened once with the
@@ -30,7 +32,7 @@ use std::io::Write;
 use std::time::Instant;
 
 use moa_circuits::suite::suite;
-use moa_core::{try_run_campaign, CampaignAudit, CampaignOptions, MoaOptions, ScreenLanes};
+use moa_core::{try_run_campaign, CampaignAudit, CampaignOptions, ScreenLanes};
 use moa_netlist::{collapse_faults, full_fault_list};
 use moa_sim::{screen_faults_wide, simulate, ScreenOutcome};
 use moa_tpg::random_sequence;
@@ -55,9 +57,9 @@ struct BenchRow {
     screened_ms: f64,
     screened_gate_evals: u64,
     screened_fps: f64,
-    legacy_ms: f64,
-    legacy_gate_evals: u64,
-    legacy_fps: f64,
+    unscreened_ms: f64,
+    unscreened_gate_evals: u64,
+    unscreened_fps: f64,
     detected_total: usize,
     partial: usize,
     coverage_lower_bound: f64,
@@ -75,7 +77,7 @@ struct BenchRow {
 impl BenchRow {
     fn speedup(&self) -> f64 {
         if self.screened_ms > 0.0 {
-            self.legacy_ms / self.screened_ms
+            self.unscreened_ms / self.screened_ms
         } else {
             f64::INFINITY
         }
@@ -162,7 +164,7 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     writeln!(
         out,
         "{:<10} {:>7} {:>9} {:>9} {:>9} {:>9} {:>8}",
-        "circuit", "faults", "scr ms", "fps", "legacy ms", "fps", "speedup"
+        "circuit", "faults", "scr ms", "fps", "unscr ms", "fps", "speedup"
     )?;
 
     let mut rows = Vec::with_capacity(entries.len());
@@ -177,21 +179,14 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 
         let screened_opts = CampaignOptions {
             threads,
-            differential: true,
             screen: true,
             screen_lanes,
             screen_threads,
             ..CampaignOptions::new()
         };
-        let legacy_opts = CampaignOptions {
-            moa: MoaOptions {
-                cone_bounded: false,
-                ..MoaOptions::default()
-            },
-            threads,
-            differential: false,
+        let unscreened_opts = CampaignOptions {
             screen: false,
-            ..CampaignOptions::new()
+            ..screened_opts.clone()
         };
 
         let started = Instant::now();
@@ -200,15 +195,19 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         let screened_ms = started.elapsed().as_secs_f64() * 1e3;
 
         let started = Instant::now();
-        let legacy = try_run_campaign(&circuit, &seq, &faults, &legacy_opts)
+        let unscreened = try_run_campaign(&circuit, &seq, &faults, &unscreened_opts)
             .map_err(|err| CliError::Failed(err.to_string()))?;
-        let legacy_ms = started.elapsed().as_secs_f64() * 1e3;
+        let unscreened_ms = started.elapsed().as_secs_f64() * 1e3;
 
-        if screened != legacy {
+        if screened != unscreened {
             return Err(CliError::Failed(format!(
-                "{}: screened and legacy configurations disagree — \
-                 screened {}+{} vs legacy {}+{} detections",
-                e.name, screened.conventional, screened.extra, legacy.conventional, legacy.extra
+                "{}: screened and unscreened configurations disagree — \
+                 screened {}+{} vs unscreened {}+{} detections",
+                e.name,
+                screened.conventional,
+                screened.extra,
+                unscreened.conventional,
+                unscreened.extra
             )));
         }
 
@@ -277,9 +276,9 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             screened_ms,
             screened_gate_evals: screened.perf.gate_evals,
             screened_fps: fps(screened_ms),
-            legacy_ms,
-            legacy_gate_evals: legacy.perf.gate_evals,
-            legacy_fps: fps(legacy_ms),
+            unscreened_ms,
+            unscreened_gate_evals: unscreened.perf.gate_evals,
+            unscreened_fps: fps(unscreened_ms),
             detected_total: screened.detected_total(),
             partial: screened.partial_summary().partial,
             coverage_lower_bound: screened.coverage_lower_bound(),
@@ -300,8 +299,8 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             row.faults,
             row.screened_ms,
             row.screened_fps,
-            row.legacy_ms,
-            row.legacy_fps,
+            row.unscreened_ms,
+            row.unscreened_fps,
             row.speedup()
         )?;
         rows.push(row);
@@ -389,8 +388,9 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 }
 
 /// Renders the report as JSON (hand-rolled; the workspace has no JSON
-/// dependency). Field order matters to [`parse_baseline`]: `name` precedes
-/// `faults_per_sec` within each circuit object.
+/// dependency). Field order matters to [`parse_baseline`]: within each
+/// circuit object, `name` comes first and the screened `gate_evals` and
+/// `faults_per_sec` precede every other key of those names.
 fn render_json(rows: &[BenchRow], quick: bool) -> String {
     let mut s = String::new();
     s.push_str("{\n");
@@ -409,8 +409,8 @@ fn render_json(rows: &[BenchRow], quick: bool) -> String {
             r.screened_ms, r.screened_gate_evals, r.screened_fps
         ));
         s.push_str(&format!(
-            "      \"legacy\": {{\"wall_ms\": {:.3}, \"gate_evals\": {}, \"faults_per_sec\": {:.1}}},\n",
-            r.legacy_ms, r.legacy_gate_evals, r.legacy_fps
+            "      \"unscreened\": {{\"wall_ms\": {:.3}, \"gate_evals\": {}, \"faults_per_sec\": {:.1}}},\n",
+            r.unscreened_ms, r.unscreened_gate_evals, r.unscreened_fps
         ));
         // Kernel keys deliberately avoid the exact `"faults_per_sec"` string
         // so the tolerant baseline scanner keeps pairing each circuit name
@@ -465,34 +465,55 @@ fn render_json(rows: &[BenchRow], quick: bool) -> String {
     s
 }
 
-/// Extracts `(name, screened faults_per_sec)` pairs from a report produced by
+/// One circuit of a committed report: its screened gate evaluations (absent
+/// from hand-written baselines) and screened faults/sec.
+#[derive(Debug, PartialEq)]
+struct Baseline {
+    name: String,
+    gate_evals: Option<u64>,
+    fps: f64,
+}
+
+/// Extracts each circuit's screened numbers from a report produced by
 /// [`render_json`]. Tolerant scanner, not a JSON parser: it relies only on
-/// `"name"` preceding the screened `"faults_per_sec"` within each object.
-fn parse_baseline(text: &str) -> Vec<(String, f64)> {
-    let mut pairs = Vec::new();
-    let mut rest = text;
-    while let Some(pos) = rest.find("\"name\": \"") {
-        rest = &rest[pos + "\"name\": \"".len()..];
-        let Some(end) = rest.find('"') else { break };
-        let name = rest[..end].to_owned();
-        rest = &rest[end..];
-        let Some(pos) = rest.find("\"faults_per_sec\": ") else {
-            break;
-        };
-        rest = &rest[pos + "\"faults_per_sec\": ".len()..];
+/// each circuit object starting with `"name"` and on the screened
+/// `"gate_evals"` and `"faults_per_sec"` being the first keys of those names
+/// after it.
+fn parse_baseline(text: &str) -> Vec<Baseline> {
+    const NAME: &str = "\"name\": \"";
+    /// The number following the first `key` in `text`.
+    fn number_after<'t>(text: &'t str, key: &str) -> Option<&'t str> {
+        let rest = &text[text.find(key)? + key.len()..];
         let end = rest
             .find(|c: char| !c.is_ascii_digit() && c != '.')
             .unwrap_or(rest.len());
-        if let Ok(fps) = rest[..end].parse::<f64>() {
-            pairs.push((name, fps));
-        }
-        rest = &rest[end..];
+        Some(&rest[..end])
     }
-    pairs
+    let mut rows = Vec::new();
+    let mut rest = text;
+    while let Some(pos) = rest.find(NAME) {
+        rest = &rest[pos + NAME.len()..];
+        let Some(end) = rest.find('"') else { break };
+        let name = rest[..end].to_owned();
+        rest = &rest[end..];
+        let object = &rest[..rest.find(NAME).unwrap_or(rest.len())];
+        let Some(fps) = number_after(object, "\"faults_per_sec\": ").and_then(|n| n.parse().ok())
+        else {
+            continue;
+        };
+        let gate_evals = number_after(object, "\"gate_evals\": ").and_then(|n| n.parse().ok());
+        rows.push(Baseline {
+            name,
+            gate_evals,
+            fps,
+        });
+    }
+    rows
 }
 
-/// Fails when this run's screened faults/sec regressed by more than 2x
-/// against the committed baseline for any circuit present in both.
+/// Fails when, for any circuit present in both, this run's screened
+/// faults/sec regressed by more than 2x against the committed baseline, or
+/// its screened gate evaluations differ from the baseline's at all.
 fn check_regression(
     out: &mut dyn Write,
     rows: &[BenchRow],
@@ -506,16 +527,25 @@ fn check_regression(
     }
     let mut checked = 0usize;
     for row in rows {
-        let Some((_, base_fps)) = baseline.iter().find(|(name, _)| *name == row.name) else {
+        let Some(base) = baseline.iter().find(|b| b.name == row.name) else {
             continue;
         };
         checked += 1;
-        let ratio = base_fps / row.screened_fps.max(f64::MIN_POSITIVE);
+        let ratio = base.fps / row.screened_fps.max(f64::MIN_POSITIVE);
         if ratio > 2.0 {
             return Err(CliError::Failed(format!(
                 "{}: screened faults/sec regressed {ratio:.2}x vs baseline \
-                 ({:.0} now vs {base_fps:.0} committed)",
-                row.name, row.screened_fps
+                 ({:.0} now vs {:.0} committed)",
+                row.name, row.screened_fps, base.fps
+            )));
+        }
+        if base.gate_evals != Some(row.screened_gate_evals) {
+            return Err(CliError::Failed(format!(
+                "{}: screened gate evals {} differ from the baseline's {}",
+                row.name,
+                row.screened_gate_evals,
+                base.gate_evals
+                    .map_or_else(|| "(none recorded)".to_owned(), |n| n.to_string())
             )));
         }
     }
@@ -524,7 +554,10 @@ fn check_regression(
             "no benched circuit appears in the baseline report".to_owned(),
         ));
     }
-    writeln!(out, "regression check passed ({checked} circuit(s) vs baseline)")?;
+    writeln!(
+        out,
+        "regression check passed ({checked} circuit(s) vs baseline, gate evals exact)"
+    )?;
     Ok(())
 }
 
@@ -561,8 +594,9 @@ mod tests {
         assert!(report.contains("\"inherited\": null"), "{report}");
         let pairs = parse_baseline(&report);
         assert_eq!(pairs.len(), 1);
-        assert_eq!(pairs[0].0, "s208");
-        assert!(pairs[0].1 > 0.0);
+        assert_eq!(pairs[0].name, "s208");
+        assert!(pairs[0].fps > 0.0);
+        assert!(pairs[0].gate_evals.is_some_and(|n| n > 0), "{report}");
     }
 
     #[test]
@@ -601,6 +635,37 @@ mod tests {
         )
         .unwrap();
         assert!(String::from_utf8(out).unwrap().contains("regression check passed"));
+
+        // The same throughput with a single gate evaluation more is a
+        // failure: the counts are deterministic, so any drift is a change
+        // in the work done.
+        let report = std::fs::read_to_string(&json).unwrap();
+        let base = parse_baseline(&report).remove(0);
+        let evals = base.gate_evals.unwrap();
+        let drifted = dir.join("drifted.json").to_string_lossy().into_owned();
+        std::fs::write(
+            &drifted,
+            report.replacen(
+                &format!("\"gate_evals\": {evals},"),
+                &format!("\"gate_evals\": {},", evals + 1),
+                1,
+            ),
+        )
+        .unwrap();
+        let err = run(
+            &[
+                "s208".into(),
+                "--check".into(),
+                drifted,
+                "--no-audit".into(),
+            ],
+            &mut Vec::new(),
+        )
+        .unwrap_err();
+        assert!(
+            err.to_string().contains("differ from the baseline"),
+            "{err}"
+        );
 
         // An absurdly fast committed baseline must trip the check.
         let inflated = dir.join("inflated.json").to_string_lossy().into_owned();
@@ -649,7 +714,7 @@ mod tests {
         // The kernel keys must not confuse the screened-fps baseline scanner.
         let pairs = parse_baseline(&report);
         assert_eq!(pairs.len(), 1, "{report}");
-        assert_eq!(pairs[0].0, "s208");
+        assert_eq!(pairs[0].name, "s208");
     }
 
     #[test]
@@ -671,8 +736,23 @@ mod tests {
     fn baseline_parser_handles_multiple_circuits() {
         let text = "\
 {\n  \"circuits\": [\n    {\"name\": \"a\", \"screened\": {\"faults_per_sec\": 10.5}},\n    \
-{\"name\": \"b\", \"screened\": {\"faults_per_sec\": 2}}\n  ]\n}\n";
+{\"name\": \"b\", \"screened\": {\"gate_evals\": 7, \"faults_per_sec\": 2}, \
+\"unscreened\": {\"gate_evals\": 9, \"faults_per_sec\": 1}}\n  ]\n}\n";
         let pairs = parse_baseline(text);
-        assert_eq!(pairs, vec![("a".to_owned(), 10.5), ("b".to_owned(), 2.0)]);
+        assert_eq!(
+            pairs,
+            vec![
+                Baseline {
+                    name: "a".to_owned(),
+                    gate_evals: None,
+                    fps: 10.5
+                },
+                Baseline {
+                    name: "b".to_owned(),
+                    gate_evals: Some(7),
+                    fps: 2.0
+                },
+            ]
+        );
     }
 }

@@ -26,9 +26,8 @@ const USAGE: &str = "usage: moa campaign <bench-file> [--words p,... | --random 
 [--degrade-adaptive] [--checkpoint FILE [--checkpoint-every N] [--resume]] \
 [--shards N [--shard-id K | --merge] [--shard-dir DIR] [--shard-retries R] \
 [--shard-timeout-ms MS]] [--audit[=N]] [--chaos-seed S] [--collapse | --no-collapse] \
-[--order natural|scoap-hard-first|scoap-cheap-first|cone-cluster] [--packed] \
-[--differential] [--no-screen] [--screen-lanes 64|128|256] [--screen-threads T] [--learn] \
-[--prune-untestable] [--verbose]";
+[--order natural|scoap-hard-first|scoap-cheap-first|cone-cluster] [--no-screen] \
+[--screen-lanes 64|128|256] [--screen-threads T] [--learn] [--prune-untestable] [--verbose]";
 
 pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     // `--audit[=N]` carries an optional inline value, which the flag parser
@@ -44,9 +43,19 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             "shard-timeout-ms", "screen-lanes", "screen-threads", "order",
         ],
         &[
-            "baseline", "proposed", "both", "collapse", "no-collapse", "packed", "differential",
-            "no-screen", "learn", "prune-untestable", "verbose", "resume", "degrade",
-            "degrade-adaptive", "merge",
+            "baseline",
+            "proposed",
+            "both",
+            "collapse",
+            "no-collapse",
+            "no-screen",
+            "learn",
+            "prune-untestable",
+            "verbose",
+            "resume",
+            "degrade",
+            "degrade-adaptive",
+            "merge",
         ],
     )?;
     let circuit = load_circuit(parser.required(0, "bench file")?)?;
@@ -177,7 +186,6 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         )));
     }
 
-    let differential = parser.switch("differential");
     let screen = !parser.switch("no-screen");
     let screen_lanes = screen_lanes_from_args(&parser)?;
     let screen_threads = screen_threads_from_args(&parser)?;
@@ -206,7 +214,6 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         let opts = CampaignOptions {
             moa,
             threads,
-            differential,
             screen,
             screen_lanes,
             screen_threads,
@@ -238,7 +245,6 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             PlainArgs {
                 moa,
                 threads,
-                differential,
                 screen,
                 screen_lanes,
                 screen_threads,
@@ -271,7 +277,6 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 struct PlainArgs {
     moa: MoaOptions,
     threads: usize,
-    differential: bool,
     screen: bool,
     screen_lanes: moa_core::ScreenLanes,
     screen_threads: usize,
@@ -299,7 +304,6 @@ fn run_plain_campaigns(
     let PlainArgs {
         moa,
         threads,
-        differential,
         screen,
         screen_lanes,
         screen_threads,
@@ -321,7 +325,6 @@ fn run_plain_campaigns(
                 ..moa.clone()
             },
             threads,
-            differential,
             screen,
             screen_lanes,
             screen_threads,
@@ -342,7 +345,6 @@ fn run_plain_campaigns(
         let opts = CampaignOptions {
             moa,
             threads,
-            differential,
             screen,
             screen_lanes,
             screen_threads,
@@ -1360,7 +1362,11 @@ mod tests {
     }
 
     #[test]
-    fn packed_and_depth_flags_are_accepted() {
+    fn depth_flag_is_accepted_and_retired_engine_flags_are_not() {
+        for retired in ["--packed", "--differential"] {
+            let err = run(&[toggle_path(), retired.into()], &mut Vec::new()).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{retired}: {err:?}");
+        }
         let mut out = Vec::new();
         run(
             &[
@@ -1368,7 +1374,6 @@ mod tests {
                 "--words".into(),
                 "0,0,0".into(),
                 "--proposed".into(),
-                "--packed".into(),
                 "--depth".into(),
                 "2".into(),
                 "--n-states".into(),

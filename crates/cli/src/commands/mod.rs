@@ -99,7 +99,7 @@ pub(crate) fn audit_peeled(
 
 /// Builds [`MoaOptions`] from the campaign-style tuning flags
 /// (`--n-states`, `--depth`, `--rounds`, `--budget`, `--max-frontier`,
-/// `--packed`, `--learn`, `--degrade`, `--degrade-adaptive`). Flags the
+/// `--learn`, `--degrade`, `--degrade-adaptive`). Flags the
 /// caller did not declare simply keep their defaults.
 pub(crate) fn moa_options_from_args(parser: &ArgParser) -> Result<MoaOptions, CliError> {
     let mut moa = MoaOptions::default()
@@ -107,7 +107,6 @@ pub(crate) fn moa_options_from_args(parser: &ArgParser) -> Result<MoaOptions, Cl
         .with_backward_time_units(parser.num("depth", 1)?)
         .with_implication_rounds(parser.num("rounds", 1)?)
         .with_max_implication_runs(parser.num("budget", 4096)?);
-    moa.packed_resimulation = parser.switch("packed");
     moa.static_learning = parser.switch("learn");
     if let Some(states) = parser.flag("max-frontier") {
         let states: usize = states.parse().map_err(|_| {

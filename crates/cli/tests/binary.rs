@@ -2,18 +2,61 @@
 //! separation) — the library-level command tests cover the logic; these
 //! cover the executable contract.
 
+use std::path::PathBuf;
 use std::process::Command;
 
 fn moa() -> Command {
     Command::new(env!("CARGO_BIN_EXE_moa"))
 }
 
-fn s27_path() -> String {
-    let dir = std::env::temp_dir().join("moa-bin-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("s27.bench");
-    std::fs::write(&path, moa_circuits::iscas::S27_BENCH).unwrap();
-    path.to_string_lossy().into_owned()
+/// A scratch directory owned by one test of this process, named after the
+/// test and the process id: neither the other tests (which run in parallel
+/// threads) nor a concurrent run of this suite ever touch its files.
+/// Removed when dropped.
+struct Scratch(PathBuf);
+
+impl Scratch {
+    fn new(test: &str) -> Self {
+        let dir = std::env::temp_dir().join(format!("moa-bin-{test}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        Scratch(dir)
+    }
+
+    fn path(&self, name: &str) -> String {
+        self.0.join(name).to_string_lossy().into_owned()
+    }
+
+    /// Writes the s27 fixture into this directory and returns its path. It
+    /// is written once, before any child process of the test reads it.
+    fn s27(&self) -> String {
+        let path = self.path("s27.bench");
+        std::fs::write(&path, moa_circuits::iscas::S27_BENCH).unwrap();
+        path
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// Drops timing lines (they carry `(...)`, as do resume warnings) so two
+/// reports can be compared.
+fn strip_timings(bytes: &[u8]) -> String {
+    String::from_utf8_lossy(bytes)
+        .lines()
+        .filter(|l| !l.contains('('))
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
+/// Byte offset where a v2 checkpoint's record stream starts: the 12-byte
+/// magic, then the length-prefixed, checksummed header.
+fn v2_body_start(bytes: &[u8]) -> usize {
+    let header_len = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+    12 + 4 + header_len + 4
 }
 
 #[test]
@@ -39,7 +82,8 @@ fn missing_file_exits_one() {
 
 #[test]
 fn stats_pipeline_works_end_to_end() {
-    let out = moa().args(["stats", &s27_path()]).output().unwrap();
+    let scratch = Scratch::new("stats");
+    let out = moa().args(["stats", &scratch.s27()]).output().unwrap();
     assert!(out.status.success());
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("circuit : s27"));
@@ -48,19 +92,16 @@ fn stats_pipeline_works_end_to_end() {
 
 #[test]
 fn campaign_resume_from_missing_checkpoint_exits_one() {
-    let missing = std::env::temp_dir()
-        .join("moa-bin-test")
-        .join("no-such.checkpoint");
-    let _ = std::fs::remove_file(&missing);
+    let scratch = Scratch::new("missing-checkpoint");
     let out = moa()
         .args([
             "campaign",
-            &s27_path(),
+            &scratch.s27(),
             "--random",
             "8",
             "--proposed",
             "--checkpoint",
-            &missing.to_string_lossy(),
+            &scratch.path("no-such.checkpoint"),
             "--resume",
         ])
         .output()
@@ -77,10 +118,11 @@ fn campaign_resume_from_missing_checkpoint_exits_one() {
 #[cfg(feature = "failpoints")]
 #[test]
 fn campaign_chaos_seed_runs_and_reports_fired_sites() {
+    let scratch = Scratch::new("chaos-seed");
     let out = moa()
         .args([
             "campaign",
-            &s27_path(),
+            &scratch.s27(),
             "--random",
             "16",
             "--seed",
@@ -97,169 +139,141 @@ fn campaign_chaos_seed_runs_and_reports_fired_sites() {
     assert!(text.contains("chaos:"), "{text}");
 }
 
+/// `moa campaign` over s27 with a plain checkpoint at `ckpt`, optionally
+/// resuming from it.
+fn checkpointed_campaign(s27: &str, ckpt: &str, resume: bool) -> std::process::Output {
+    let mut cmd = moa();
+    cmd.args([
+        "campaign",
+        s27,
+        "--random",
+        "16",
+        "--seed",
+        "7",
+        "--proposed",
+        "--checkpoint",
+        ckpt,
+    ]);
+    if resume {
+        cmd.arg("--resume");
+    }
+    cmd.output().unwrap()
+}
+
 #[test]
 fn campaign_resume_heals_a_corrupt_interior_record_with_a_warning() {
-    // A torn/garbage body record no longer aborts the resume: the record is
+    // A damaged body record does not abort the resume: the record is
     // skipped with a located warning and its fault is re-simulated.
-    let dir = std::env::temp_dir().join("moa-bin-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let corrupt = dir.join("corrupt.checkpoint");
-    std::fs::write(&corrupt, "moa-checkpoint v1\ncircuit s27\nfaults 32\nseq-len 8\nfault garbage\n")
-        .unwrap();
-    let out = moa()
-        .args([
-            "campaign",
-            &s27_path(),
-            "--random",
-            "8",
-            "--seed",
-            "7",
-            "--proposed",
-            "--checkpoint",
-            &corrupt.to_string_lossy(),
-            "--resume",
-        ])
-        .output()
-        .unwrap();
+    let scratch = Scratch::new("corrupt-record");
+    let s27 = scratch.s27();
+    let ckpt = scratch.path("corrupt.checkpoint");
+    let full = checkpointed_campaign(&s27, &ckpt, false);
+    assert!(full.status.success());
+
+    // Flip a bit inside the first record's payload (past its tag and length).
+    let mut bytes = std::fs::read(&ckpt).unwrap();
+    let first = v2_body_start(&bytes);
+    bytes[first + 5 + 8] ^= 0x01;
+    std::fs::write(&ckpt, &bytes).unwrap();
+
+    let out = checkpointed_campaign(&s27, &ckpt, true);
     let text = String::from_utf8_lossy(&out.stdout);
     let err = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(0), "corruption is healed, not fatal: {err}");
-    assert!(text.contains("skipped corrupt checkpoint record"), "{text}");
-    assert!(text.contains("line 5"), "the warning locates the damage: {text}");
+    let warning = text
+        .lines()
+        .find(|l| l.contains("skipped corrupt checkpoint record"))
+        .unwrap_or_else(|| panic!("no skip warning: {text}"));
+    assert!(
+        warning.contains(&format!("record 1 at byte {first}: checksum mismatch")),
+        "the warning locates the damage: {warning}"
+    );
+    assert_eq!(
+        warning.matches("at byte").count(),
+        1,
+        "located once: {warning}"
+    );
+    assert_eq!(
+        strip_timings(&full.stdout),
+        strip_timings(&out.stdout),
+        "the re-simulated fault must reproduce the full run's report"
+    );
 }
 
 #[test]
 fn campaign_resume_from_damaged_header_exits_one() {
     // Header damage is still a hard error — the file cannot be trusted to
-    // describe this campaign at all.
-    let dir = std::env::temp_dir().join("moa-bin-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let corrupt = dir.join("bad-header.checkpoint");
-    std::fs::write(&corrupt, "not-a-checkpoint\n").unwrap();
-    let out = moa()
-        .args([
-            "campaign",
-            &s27_path(),
-            "--random",
-            "8",
-            "--seed",
-            "7",
-            "--proposed",
-            "--checkpoint",
-            &corrupt.to_string_lossy(),
-            "--resume",
-        ])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(1), "clean failure, not a panic");
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("checkpoint") || err.contains("campaign"), "{err}");
-    assert!(!err.contains("panicked"), "{err}");
+    // describe this campaign at all. A file in the retired v1 text format
+    // is refused by name.
+    let scratch = Scratch::new("bad-header");
+    let s27 = scratch.s27();
+    for (contents, expect) in [
+        ("not-a-checkpoint\n", "not a checkpoint file"),
+        (
+            "moa-checkpoint v1\ncircuit s27\nfaults 32\nseq-len 16\n",
+            "format v1 (`moa-checkpoint v1`) is no longer supported",
+        ),
+    ] {
+        let ckpt = scratch.path("bad-header.checkpoint");
+        std::fs::write(&ckpt, contents).unwrap();
+        let out = checkpointed_campaign(&s27, &ckpt, true);
+        assert_eq!(out.status.code(), Some(1), "clean failure, not a panic");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(expect), "{err}");
+        assert!(!err.contains("panicked"), "{err}");
+    }
 }
 
 #[test]
 fn campaign_checkpoint_resume_round_trip_via_binary() {
-    let dir = std::env::temp_dir().join("moa-bin-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let ckpt = dir.join("roundtrip.checkpoint");
-    let _ = std::fs::remove_file(&ckpt);
-    let ckpt = ckpt.to_string_lossy().into_owned();
-    let args = |resume: bool| {
-        let mut v = vec![
-            "campaign".to_owned(),
-            s27_path(),
-            "--random".to_owned(),
-            "16".to_owned(),
-            "--seed".to_owned(),
-            "7".to_owned(),
-            "--proposed".to_owned(),
-            "--checkpoint".to_owned(),
-            ckpt.clone(),
-        ];
-        if resume {
-            v.push("--resume".to_owned());
-        }
-        v
-    };
-    let first = moa().args(args(false)).output().unwrap();
+    let scratch = Scratch::new("roundtrip");
+    let s27 = scratch.s27();
+    let ckpt = scratch.path("roundtrip.checkpoint");
+    let first = checkpointed_campaign(&s27, &ckpt, false);
     assert!(first.status.success());
-    let second = moa().args(args(true)).output().unwrap();
+    let second = checkpointed_campaign(&s27, &ckpt, true);
     assert!(second.status.success());
-    let strip = |bytes: &[u8]| {
-        String::from_utf8_lossy(bytes)
-            .lines()
-            .filter(|l| !l.contains('('))
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
-    assert_eq!(strip(&first.stdout), strip(&second.stdout));
+    assert_eq!(strip_timings(&first.stdout), strip_timings(&second.stdout));
 }
 
 #[test]
-fn campaign_resume_tolerates_torn_final_checkpoint_line() {
+fn campaign_resume_tolerates_torn_checkpoint_tail() {
     // A checkpoint cut off mid-record (kill -9 during a non-atomic copy, a
     // filesystem without rename atomicity) must not brick the resume: the
-    // partial final line is dropped and its fault re-simulated.
-    let dir = std::env::temp_dir().join("moa-bin-test-torn");
-    std::fs::create_dir_all(&dir).unwrap();
-    let ckpt = dir.join("torn.checkpoint");
-    let _ = std::fs::remove_file(&ckpt);
-    let ckpt_str = ckpt.to_string_lossy().into_owned();
-    let args = |resume: bool| {
-        let mut v = vec![
-            "campaign".to_owned(),
-            s27_path(),
-            "--random".to_owned(),
-            "16".to_owned(),
-            "--seed".to_owned(),
-            "7".to_owned(),
-            "--proposed".to_owned(),
-            "--checkpoint".to_owned(),
-            ckpt_str.clone(),
-        ];
-        if resume {
-            v.push("--resume".to_owned());
-        }
-        v
-    };
-
-    let full = moa().args(args(false)).output().unwrap();
+    // partial final record is dropped and its fault re-simulated.
+    let scratch = Scratch::new("torn");
+    let s27 = scratch.s27();
+    let ckpt = scratch.path("torn.checkpoint");
+    let full = checkpointed_campaign(&s27, &ckpt, false);
     assert!(full.status.success());
 
-    // Emulate the torn write: truncate the finished checkpoint mid-way
-    // through its final fault line, leaving no trailing newline.
-    let text = std::fs::read_to_string(&ckpt).unwrap();
-    assert!(text.ends_with('\n'));
-    let cut = text.trim_end_matches('\n');
-    assert!(cut.lines().last().unwrap().starts_with("fault "));
-    std::fs::write(&ckpt, &cut[..cut.len() - 4]).unwrap();
+    // Emulate the torn write: drop the 13-byte trailer and the last four
+    // bytes of the final record.
+    let bytes = std::fs::read(&ckpt).unwrap();
+    std::fs::write(&ckpt, &bytes[..bytes.len() - 13 - 4]).unwrap();
 
-    let resumed = moa().args(args(true)).output().unwrap();
+    let resumed = checkpointed_campaign(&s27, &ckpt, true);
     assert!(
         resumed.status.success(),
-        "resume must survive a torn final line: {}",
+        "resume must survive a torn tail: {}",
         String::from_utf8_lossy(&resumed.stderr)
     );
-    let strip = |bytes: &[u8]| {
-        String::from_utf8_lossy(bytes)
-            .lines()
-            .filter(|l| !l.contains('('))
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
+    let text = String::from_utf8_lossy(&resumed.stdout);
+    assert!(text.contains("missing end-of-shard trailer"), "{text}");
     assert_eq!(
-        strip(&full.stdout),
-        strip(&resumed.stdout),
+        strip_timings(&full.stdout),
+        strip_timings(&resumed.stdout),
         "the re-simulated fault must reproduce the full run's report"
     );
 }
 
 #[test]
 fn campaign_audit_flag_via_binary() {
+    let scratch = Scratch::new("audit-flag");
     let out = moa()
         .args([
             "campaign",
-            &s27_path(),
+            &scratch.s27(),
             "--random",
             "16",
             "--seed",
@@ -293,12 +307,12 @@ fn verdict_lines(bytes: &[u8]) -> String {
 
 #[test]
 fn sharded_campaign_via_binary_is_bit_identical_to_unsharded() {
-    let dir = std::env::temp_dir().join("moa-bin-test-shards");
-    let _ = std::fs::remove_dir_all(&dir);
-    let dir_str = dir.to_string_lossy().into_owned();
+    let scratch = Scratch::new("shards");
+    let s27 = scratch.s27();
+    let dir_str = scratch.path("shards");
     let common = [
         "campaign",
-        &s27_path(),
+        &s27,
         "--random",
         "24",
         "--seed",
@@ -345,7 +359,7 @@ fn sharded_campaign_via_binary_is_bit_identical_to_unsharded() {
 
     // Corrupt one record in one shard file: the merge must refuse with a
     // located checksum error rather than quietly mis-merging.
-    let victim = dir.join("shard-2.ckpt");
+    let victim = format!("{dir_str}/shard-2.ckpt");
     let mut bytes = std::fs::read(&victim).unwrap();
     let at = bytes.len() - 20;
     bytes[at] ^= 0x40;
@@ -359,15 +373,15 @@ fn sharded_campaign_via_binary_is_bit_identical_to_unsharded() {
     let err = String::from_utf8_lossy(&refused.stderr);
     assert!(err.contains("checksum mismatch"), "{err}");
     assert!(err.contains("shard-2.ckpt"), "the error locates the file: {err}");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn campaign_on_s27_detects_faults() {
+    let scratch = Scratch::new("s27-detects");
     let out = moa()
         .args([
             "campaign",
-            &s27_path(),
+            &scratch.s27(),
             "--random",
             "32",
             "--seed",

@@ -16,15 +16,15 @@ use std::time::Instant;
 
 use moa_netlist::{Circuit, Fault};
 use moa_sim::{
-    screen_faults_wide, simulate, Detection, GoodFrames, ScreenLanes, SimTrace, TestSequence,
+    screen_faults_wide, Detection, GoodFrames, ScreenLanes, SimTrace, TestSequence,
 };
 
 use crate::audit::{audit_certificate, AuditOptions, AuditStatus};
 use crate::budget::{BudgetMeter, FaultBudget, LadderStats};
 use crate::certificate::DetectionCertificate;
 use crate::checkpoint::{
-    read_checkpoint, read_checkpoint_sharded, write_checkpoint, write_checkpoint_v2,
-    CheckpointHeader, CheckpointSkip, ShardInfo,
+    read_checkpoint, read_checkpoint_sharded, write_checkpoint_v2, CheckpointHeader,
+    CheckpointSkip, ShardInfo,
 };
 use crate::cones::{ConeCache, StateOverlap};
 use crate::counters::{CounterAverages, Counters, PerfCounters};
@@ -177,10 +177,6 @@ pub struct CampaignOptions {
     /// are deterministic regardless of the thread count (faults are
     /// independent and results are stored by index).
     pub threads: usize,
-    /// Run the conventional stage as deltas from cached fault-free frames
-    /// (event-driven differential simulation). Identical results, less work
-    /// per fault on large circuits.
-    pub differential: bool,
     /// Screen pending faults 64 at a time with the parallel-fault packed
     /// kernel ([`moa_sim::screen_faults`]) before the per-fault procedure:
     /// conventionally detected faults are dropped in batches and never enter
@@ -254,10 +250,10 @@ pub struct CampaignOptions {
     /// checkpointed status and are not re-audited.
     pub audit: Option<CampaignAudit>,
     /// This campaign's place in a sharded partition ([`crate::shard`]).
-    /// When set, the fault list is one shard's slice: checkpoints are
-    /// written in format v2 with global fault indices, and a resume uses
-    /// the shard-aware reader. `None` (the default) is an ordinary
-    /// unsharded campaign writing v1 checkpoints.
+    /// When set, the fault list is one shard's slice: checkpoints record
+    /// the shard's place and global fault indices, and a resume uses the
+    /// shard-aware reader. `None` (the default) is an ordinary unsharded
+    /// campaign, whose checkpoint is the trivial shard 0 of 1.
     pub shard: Option<ShardInfo>,
     /// Test instrumentation: called with `(index, fault)` before each fault
     /// is simulated, inside the worker (and inside panic isolation).
@@ -275,7 +271,6 @@ impl std::fmt::Debug for CampaignOptions {
         f.debug_struct("CampaignOptions")
             .field("moa", &self.moa)
             .field("threads", &self.threads)
-            .field("differential", &self.differential)
             .field("screen", &self.screen)
             .field("screen_lanes", &self.screen_lanes)
             .field("screen_threads", &self.screen_threads)
@@ -304,7 +299,6 @@ impl Default for CampaignOptions {
         CampaignOptions {
             moa: MoaOptions::default(),
             threads: 0,
-            differential: false,
             screen: true,
             screen_lanes: ScreenLanes::L64,
             screen_threads: 1,
@@ -549,11 +543,10 @@ pub fn try_run_campaign(
     for (index, fault) in faults.iter().enumerate() {
         validate_fault(circuit, index, fault)?;
     }
-    let frames = options.differential.then(|| GoodFrames::compute(circuit, seq));
-    let good = match &frames {
-        Some(f) => f.to_trace(),
-        None => simulate(circuit, seq, None),
-    };
+    // The conventional stage of every fault replays as deltas from these
+    // cached fault-free frames (event-driven differential simulation).
+    let frames = GoodFrames::compute(circuit, seq);
+    let good = frames.to_trace();
     validate_inputs(circuit, seq, &good)?;
 
     if let Some(info) = &options.shard {
@@ -591,7 +584,6 @@ pub fn try_run_campaign(
         if options.resume {
             let path = options.checkpoint.as_ref().ok_or_else(|| Error::Checkpoint {
                 path: "<none>".into(),
-                line: None,
                 message: "resume requested without a checkpoint path".into(),
             })?;
             let load = match &options.shard {
@@ -610,7 +602,7 @@ pub fn try_run_campaign(
         &good,
         faults,
         options,
-        frames.as_ref(),
+        &frames,
         &header,
         &mut slots,
         &mut perf,
@@ -620,7 +612,6 @@ pub fn try_run_campaign(
         .into_iter()
         .map(|slot| slot.ok_or_else(|| Error::Checkpoint {
             path: "<internal>".into(),
-            line: None,
             message: "a fault was left unsimulated".into(),
         }))
         .collect::<Result<Vec<_>, _>>()?;
@@ -702,7 +693,7 @@ fn run_all(
     good: &SimTrace,
     faults: &[Fault],
     options: &CampaignOptions,
-    frames: Option<&GoodFrames>,
+    frames: &GoodFrames,
     header: &CheckpointHeader,
     slots: &mut [Option<FaultResult>],
     perf: &mut PerfCounters,
@@ -741,16 +732,6 @@ fn run_all(
     let ladder = (options.moa.degrade && options.moa.degrade_adaptive)
         .then(|| Arc::new(LadderStats::new()));
 
-    let flush = |slots: &[Option<FaultResult>]| -> Result<(), Error> {
-        if let Some(path) = &options.checkpoint {
-            match &options.shard {
-                Some(info) => write_checkpoint_v2(path, header, Some(info), slots)?,
-                None => write_checkpoint(path, header, slots)?,
-            }
-        }
-        Ok(())
-    };
-
     if !options.collapse {
         run_stage(
             circuit, seq, good, faults, options, frames, header, &cones,
@@ -760,7 +741,7 @@ fn run_all(
         // an empty shard) the stage never flushed; a shard must still publish
         // its file so the merge sees every member of the partition.
         if pending.is_empty() {
-            flush(slots)?;
+            flush_checkpoint(options, header, slots)?;
         }
         return Ok(None);
     }
@@ -836,12 +817,25 @@ fn run_all(
     // them out before stage two so a kill during the fallback runs resumes
     // with the expansion intact (and so an all-inherited shard still
     // publishes its file).
-    flush(slots)?;
+    flush_checkpoint(options, header, slots)?;
     run_stage(
         circuit, seq, good, faults, options, frames, header, &cones,
         ladder.as_ref(), &fallback, slots, perf,
     )?;
     Ok(Some(report))
+}
+
+/// Writes the configured checkpoint (format v2; shard info only for a shard
+/// campaign). A no-op without [`CampaignOptions::checkpoint`].
+fn flush_checkpoint(
+    options: &CampaignOptions,
+    header: &CheckpointHeader,
+    slots: &[Option<FaultResult>],
+) -> Result<(), Error> {
+    match &options.checkpoint {
+        Some(path) => write_checkpoint_v2(path, header, options.shard.as_ref(), slots),
+        None => Ok(()),
+    }
 }
 
 /// Permutes `pending` according to the configured [`FaultOrder`]. Every
@@ -886,7 +880,7 @@ fn run_stage(
     good: &SimTrace,
     faults: &[Fault],
     options: &CampaignOptions,
-    frames: Option<&GoodFrames>,
+    frames: &GoodFrames,
     header: &CheckpointHeader,
     cones: &ConeCache<'_>,
     ladder: Option<&Arc<LadderStats>>,
@@ -900,22 +894,13 @@ fn run_stage(
     } else {
         pending.len().max(1)
     };
-    let flush = |slots: &[Option<FaultResult>]| -> Result<(), Error> {
-        if let Some(path) = &options.checkpoint {
-            match &options.shard {
-                Some(info) => write_checkpoint_v2(path, header, Some(info), slots)?,
-                None => write_checkpoint(path, header, slots)?,
-            }
-        }
-        Ok(())
-    };
     let cancelled = || options.cancel.as_ref().is_some_and(|probe| probe());
     for batch in pending.chunks(batch_size) {
         // Cancellation is only observed here, at a batch boundary: every
         // completed batch is already flushed, so the checkpoint on disk is
         // consistent and a resume re-simulates nothing it already has.
         if cancelled() {
-            flush(slots)?;
+            flush_checkpoint(options, header, slots)?;
             return Err(Error::Interrupted {
                 completed: slots.iter().filter(|slot| slot.is_some()).count(),
                 total: slots.len(),
@@ -935,7 +920,7 @@ fn run_stage(
             slots,
             perf,
         );
-        flush(slots)?;
+        flush_checkpoint(options, header, slots)?;
     }
     Ok(())
 }
@@ -986,7 +971,7 @@ fn run_batch(
     good: &SimTrace,
     faults: &[Fault],
     options: &CampaignOptions,
-    frames: Option<&GoodFrames>,
+    frames: &GoodFrames,
     screened: &[Option<Detection>],
     cones: &ConeCache<'_>,
     ladder: Option<&Arc<LadderStats>>,
@@ -1033,7 +1018,7 @@ fn run_batch(
                 good,
                 fault,
                 &options.moa,
-                frames,
+                Some(frames),
                 cones,
                 &mut meter,
                 audit.is_some(),
@@ -1938,19 +1923,12 @@ mod tests {
             },
         );
 
-        // Flip one interior record to garbage, as a crashed writer might.
-        let text = std::fs::read_to_string(&path).unwrap();
-        let mangled: Vec<&str> = text
-            .lines()
-            .map(|line| {
-                if line.starts_with("fault 2 ") {
-                    "fault 2 garbage"
-                } else {
-                    line
-                }
-            })
-            .collect();
-        std::fs::write(&path, mangled.join("\n") + "\n").unwrap();
+        // Flip a bit of the last record (just before the 13-byte trailer),
+        // as bit rot might.
+        let mut bytes = std::fs::read(&path).unwrap();
+        let target = bytes.len() - 13 - 2;
+        bytes[target] ^= 0x01;
+        std::fs::write(&path, &bytes).unwrap();
 
         let resumed = run_campaign(
             &c,
@@ -1963,7 +1941,7 @@ mod tests {
             },
         );
         assert_eq!(resumed.resume_skipped.len(), 1, "{:?}", resumed.resume_skipped);
-        assert!(resumed.resume_skipped[0].line > 4, "damage is in the body");
+        assert!(resumed.resume_skipped[0].record > 0, "damage is in a record");
         assert_eq!(reference, resumed, "the skipped record is simply re-simulated");
     }
 

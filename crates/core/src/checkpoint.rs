@@ -1,76 +1,13 @@
 //! Campaign checkpointing: periodic serialization of per-fault results to a
 //! sidecar file, so an interrupted campaign can resume where it left off.
-//!
-//! The format is a hand-rolled line protocol (no serialization dependency):
-//!
-//! ```text
-//! moa-checkpoint v1
-//! circuit <name>
-//! faults <total>
-//! seq-len <L>
-//! fault <index> <runs> <n_det> <n_conf> <n_extra> <status...>
-//! ```
-//!
-//! One `fault` line per *completed* fault, in any order; unfinished faults
-//! simply have no line. The header triple (`circuit`, `faults`, `seq-len`)
-//! guards a resume against being pointed at a checkpoint from a different
-//! campaign. The `status...` tail is one of:
-//!
-//! ```text
-//! conv <time> <output>          detected conventionally
-//! skip-c                        dropped by condition (C)
-//! impl <u> <i>                  detected by implications (Section 3.2)
-//! forced                        detected by contradictory forced assignments
-//! expanded <sequences>          detected after expansion + resimulation
-//! not-detected <undecided> <sequences> <truncated:0|1> <aborted:0|1>
-//! untestable <proof>            statically proven untestable (skipped);
-//!                               proof is `unobservable` or `constant <0|1>`
-//! budget <stage> <work>         abandoned when the fault budget ran out
-//! partial <reached> <tripped> <work> detected <n>
-//!                             | not-detected <undecided> <sequences>
-//!                             | unknown
-//!                               degradation-ladder lower bound; `reached`
-//!                               is `expansion-only` or `conventional`,
-//!                               `tripped` the exhausted budget stage
-//! faulted <escaped message>     worker panicked (isolated)
-//! audit-failed <escaped reason> detection refuted by the certificate audit
-//! ```
-//!
-//! Statuses round-trip exactly ([`FaultStatus`] is `Eq`), so a resumed
-//! campaign aggregates a [`CampaignResult`](crate::CampaignResult) identical
-//! to an uninterrupted run — asserted by the integration tests. Writes go
-//! through a temp file that is flushed *and fsynced* before the atomic
-//! rename, so neither an interrupt mid-write nor a machine crash shortly
-//! after the rename can publish a half-written checkpoint.
-//!
-//! # Corruption tolerance
-//!
-//! Checkpoints written by other means (a copy interrupted mid-transfer, a
-//! filesystem without atomic rename, bit rot) can contain damaged records.
-//! Resume degrades instead of aborting:
-//!
-//! - a final line with no terminating newline is *dropped* — even if the
-//!   prefix happens to parse, since a truncation can silently corrupt a
-//!   numeric field — and the affected fault is re-simulated;
-//! - a corrupt *interior* record (unparseable, out-of-range index, or a
-//!   duplicate of an earlier record) is skipped with a located
-//!   [`CheckpointSkip`] warning, returned in [`CheckpointLoad::skipped`]
-//!   and surfaced through
-//!   [`CampaignResult::resume_skipped`](crate::CampaignResult::resume_skipped);
-//!   the record's fault is re-simulated.
-//!
-//! Only the header stays strict: a bad magic line, a damaged header field
-//! or a campaign-identity mismatch is still a hard [`Error::Checkpoint`],
-//! because nothing in the body can be trusted without it.
+//! The same format carries shard files between processes and machines
+//! ([`crate::shard`], [`crate::dispatch`]) and the daemon's spooled results.
 //!
 //! # Format v2 (binary, checksummed)
 //!
-//! Sharded campaigns ([`crate::shard`]) ship fault records between processes
-//! and machines, where the line protocol's "drop what doesn't parse" story is
-//! too weak: a flipped bit inside a numeric field still parses. Format v2 is
-//! the on-disk and on-wire representation for shard files — packed binary,
-//! little-endian, with a CRC32 over every header and record payload and an
-//! explicit end-of-shard trailer carrying the record count:
+//! Packed binary, little-endian, with a CRC32 over every header and record
+//! payload and an explicit end-of-shard trailer carrying the record count —
+//! a flipped bit inside a numeric field is caught, not parsed:
 //!
 //! ```text
 //! "moa-ckpt-v2\n"                                   12-byte magic
@@ -85,23 +22,39 @@
 //! 0x02 | u64 record-count | u32 crc32(count)        end-of-shard trailer
 //! ```
 //!
-//! An unsharded v2 file is simply shard 0 of 1 covering `[0, total)`.
-//! [`read_checkpoint`] auto-detects the version by magic, so a resume accepts
-//! either format; [`write_checkpoint_v2`] writes v2 with the same
-//! temp-file + fsync + atomic-rename dance as v1.
+//! One record per *completed* fault, in any order; unfinished faults simply
+//! have no record. An unsharded checkpoint is the trivial shard 0 of 1
+//! covering `[0, total)`. The header identity (circuit, fault count,
+//! sequence length, shard geometry) guards a resume against being pointed
+//! at a checkpoint from a different campaign. Statuses round-trip exactly
+//! ([`FaultStatus`] is `Eq`), so a resumed campaign aggregates a
+//! [`CampaignResult`](crate::CampaignResult) identical to an uninterrupted
+//! run. [`write_checkpoint_v2`] goes through a temp file that is flushed
+//! *and fsynced* before the atomic rename, so neither an interrupt mid-write
+//! nor a machine crash shortly after the rename can publish a half-written
+//! file.
+//!
+//! The earlier line-oriented `moa-checkpoint v1` format is not read: such a
+//! file is refused with an error naming the format.
+//!
+//! # Corruption tolerance
 //!
 //! Two readers share the decoder but differ in temperament:
 //!
-//! - the *lenient* resume path (`read_checkpoint` /
-//!   [`read_checkpoint_sharded`]) mirrors v1: header damage is fatal, a
-//!   record with a bad checksum or malformed payload is skipped with a
-//!   located [`CheckpointSkip`] and re-simulated, a torn tail is dropped;
+//! - the *lenient* resume path ([`read_checkpoint`] /
+//!   [`read_checkpoint_sharded`]): header damage or a campaign-identity
+//!   mismatch is a hard [`Error::Checkpoint`], because nothing in the body
+//!   can be trusted without it; a record with a bad checksum, a malformed
+//!   payload, an out-of-range index or a duplicate index is skipped with a
+//!   located [`CheckpointSkip`] (returned in [`CheckpointLoad::skipped`] and
+//!   surfaced through
+//!   [`CampaignResult::resume_skipped`](crate::CampaignResult::resume_skipped))
+//!   and its fault is re-simulated; a torn tail is dropped;
 //! - the *strict* merge path ([`read_shard`]) treats **any** damage —
 //!   checksum mismatch, torn record, missing or lying trailer, duplicate or
 //!   out-of-range index — as a located hard error, because a merge must
 //!   never paper over a corrupt transfer.
 
-use std::fmt::Write as _;
 use std::fs;
 use std::io::Write as _;
 use std::path::Path;
@@ -113,8 +66,6 @@ use crate::collect::PairKey;
 use crate::counters::Counters;
 use crate::error::Error;
 use crate::procedure::{DegradeStage, FaultResult, FaultStatus, PartialBound};
-
-const MAGIC: &str = "moa-checkpoint v1";
 
 /// Campaign identity stamped into a checkpoint header and validated on
 /// resume.
@@ -128,70 +79,21 @@ pub struct CheckpointHeader {
     pub seq_len: usize,
 }
 
-/// Serializes the completed slice of a campaign.
-///
-/// `results` has one entry per fault; `None` marks a fault not yet
-/// simulated. The file is written atomically (temp file + rename).
-pub fn write_checkpoint(
-    path: &Path,
-    header: &CheckpointHeader,
-    results: &[Option<FaultResult>],
-) -> Result<(), Error> {
-    let mut text = String::new();
-    let _ = writeln!(text, "{MAGIC}");
-    let _ = writeln!(text, "circuit {}", header.circuit);
-    let _ = writeln!(text, "faults {}", header.total_faults);
-    let _ = writeln!(text, "seq-len {}", header.seq_len);
-    for (index, result) in results.iter().enumerate() {
-        let Some(r) = result else { continue };
-        let _ = writeln!(
-            text,
-            "fault {index} {} {} {} {} {}",
-            r.runs,
-            r.counters.n_det,
-            r.counters.n_conf,
-            r.counters.n_extra,
-            status_to_line(&r.status)
-        );
-    }
-
-    let write_err = |source: std::io::Error| Error::CheckpointWrite {
-        path: path.display().to_string(),
-        source,
-    };
-    let tmp = path.with_extension("tmp");
-    #[cfg(feature = "failpoints")]
-    if let Some(e) = crate::failpoint::io_error("fp/checkpoint.write") {
-        return Err(write_err(e));
-    }
-    let mut file = fs::File::create(&tmp).map_err(write_err)?;
-    file.write_all(text.as_bytes()).map_err(write_err)?;
-    // Durability before visibility: fsync the temp file so the rename below
-    // can never publish a checkpoint whose data is still in page cache —
-    // otherwise a crash after the rename could leave a *named* but empty or
-    // partial file, defeating the atomic-replace guarantee.
-    file.sync_all().map_err(write_err)?;
-    drop(file);
-    #[cfg(feature = "failpoints")]
-    if let Some(e) = crate::failpoint::io_error("fp/checkpoint.rename") {
-        return Err(write_err(e));
-    }
-    fs::rename(&tmp, path).map_err(write_err)
-}
-
 /// A corrupt checkpoint record that resume skipped instead of aborting on.
 /// The record's fault is simply re-simulated.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckpointSkip {
-    /// 1-based line number of the damaged record in the checkpoint file.
-    pub line: usize,
-    /// What was wrong with it.
+    /// 1-based ordinal of the damaged record in the file's record stream;
+    /// `0` for damage not tied to one record (the trailer, an unrecognized
+    /// tag, a missing trailer).
+    pub record: usize,
+    /// What was wrong with it, located by record ordinal and byte offset.
     pub message: String,
 }
 
 impl std::fmt::Display for CheckpointSkip {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "line {}: {}", self.line, self.message)
+        f.write_str(&self.message)
     }
 }
 
@@ -207,13 +109,9 @@ pub struct CheckpointLoad {
     pub skipped: Vec<CheckpointSkip>,
 }
 
-/// Reads a checkpoint back, validating it against the expected campaign
-/// identity. Header problems are hard errors; damaged body records are
-/// skipped and reported in [`CheckpointLoad::skipped`].
-///
-/// The format version is auto-detected by magic: both the v1 line protocol
-/// and the v2 binary shard format (restricted to unsharded files, i.e.
-/// shard 0 of 1) are accepted.
+/// Reads an unsharded checkpoint (shard 0 of 1) back, validating it against
+/// the expected campaign identity. Header problems are hard errors; damaged
+/// body records are skipped and reported in [`CheckpointLoad::skipped`].
 pub fn read_checkpoint(path: &Path, expected: &CheckpointHeader) -> Result<CheckpointLoad, Error> {
     read_checkpoint_impl(path, expected, None)
 }
@@ -238,123 +136,29 @@ fn read_checkpoint_impl(
     expected: &CheckpointHeader,
     shard: Option<&ShardInfo>,
 ) -> Result<CheckpointLoad, Error> {
-    let err = |line: Option<usize>, message: String| Error::Checkpoint {
+    let err = |message: String| Error::Checkpoint {
         path: path.display().to_string(),
-        line,
         message,
     };
     #[cfg(feature = "failpoints")]
     if let Some(e) = crate::failpoint::io_error("fp/checkpoint.resume") {
-        return Err(err(None, format!("cannot read checkpoint: {e}")));
+        return Err(err(format!("cannot read checkpoint: {e}")));
     }
-    let bytes = fs::read(path).map_err(|e| err(None, format!("cannot read checkpoint: {e}")))?;
-    if bytes.starts_with(MAGIC_V2) {
-        return read_v2_lenient(path, &bytes, expected, shard);
-    }
-    let text = String::from_utf8(bytes).map_err(|_| {
-        err(
-            None,
-            "not a checkpoint file (binary data without the v2 magic)".into(),
-        )
-    })?;
-    // A v1 file resuming a shard campaign is the migration path: its records
-    // already carry shard-local indices, so no translation is needed.
-    read_v1_text(path, &text, expected)
+    let bytes = fs::read(path).map_err(|e| err(format!("cannot read checkpoint: {e}")))?;
+    decode_lenient(path, &bytes, expected, shard)
 }
 
-fn read_v1_text(
-    path: &Path,
-    text: &str,
-    expected: &CheckpointHeader,
-) -> Result<CheckpointLoad, Error> {
-    let err = |line: Option<usize>, message: String| Error::Checkpoint {
-        path: path.display().to_string(),
-        line,
-        message,
-    };
-    let mut all_lines: Vec<(usize, &str)> = text.lines().enumerate().collect();
-    // Torn-write tolerance (see the module docs): a file that does not end
-    // in a newline was cut off mid-record. Drop the partial final line —
-    // unconditionally, because a truncated numeric field can still parse —
-    // and let the campaign re-simulate that fault.
-    if !text.is_empty() && !text.ends_with('\n') {
-        all_lines.pop();
+/// Why a file without the v2 magic is refused, naming the retired v1 text
+/// format when that is what the file holds.
+fn not_v2_message(bytes: &[u8]) -> String {
+    if bytes.starts_with(b"moa-checkpoint v1") {
+        "checkpoint format v1 (`moa-checkpoint v1`) is no longer supported; \
+         delete the file and run the campaign again without resuming"
+            .into()
+    } else {
+        "not a checkpoint file (missing `moa-ckpt-v2` magic)".into()
     }
-    let mut lines = all_lines.into_iter();
-
-    let mut expect_header = |key: &str| -> Result<String, Error> {
-        let (i, line) = lines
-            .next()
-            .ok_or_else(|| err(None, "truncated header".into()))?;
-        if key.is_empty() {
-            if line == MAGIC {
-                return Ok(String::new());
-            }
-            return Err(err(Some(i + 1), format!("not a checkpoint file (expected `{MAGIC}`)")));
-        }
-        line.strip_prefix(key)
-            .and_then(|rest| rest.strip_prefix(' '))
-            .map(str::to_owned)
-            .ok_or_else(|| err(Some(i + 1), format!("expected `{key} ...`, found {line:?}")))
-    };
-    expect_header("")?;
-    let circuit = expect_header("circuit")?;
-    let faults_text = expect_header("faults")?;
-    let seq_len_text = expect_header("seq-len")?;
-    // Release the closure's borrow of `lines` for the body loop below.
-    #[allow(clippy::drop_non_drop)]
-    drop(expect_header);
-
-    let total_faults: usize = faults_text
-        .parse()
-        .map_err(|_| err(Some(3), format!("bad fault count {faults_text:?}")))?;
-    let seq_len: usize = seq_len_text
-        .parse()
-        .map_err(|_| err(Some(4), format!("bad sequence length {seq_len_text:?}")))?;
-    let header = CheckpointHeader {
-        circuit,
-        total_faults,
-        seq_len,
-    };
-    if header != *expected {
-        return Err(err(None, mismatch_message(&header, expected)));
-    }
-
-    let mut results: Vec<Option<FaultResult>> = vec![None; total_faults];
-    let mut skipped: Vec<CheckpointSkip> = Vec::new();
-    for (i, line) in lines {
-        if line.is_empty() {
-            continue;
-        }
-        // A damaged record is skipped, not fatal: its fault re-simulates.
-        match parse_fault_line(line, total_faults) {
-            Ok((index, result)) => {
-                if results[index].is_some() {
-                    skipped.push(CheckpointSkip {
-                        line: i + 1,
-                        message: format!(
-                            "duplicate record for fault {index} (keeping the first)"
-                        ),
-                    });
-                } else {
-                    results[index] = Some(result);
-                }
-            }
-            Err(message) => skipped.push(CheckpointSkip {
-                line: i + 1,
-                message,
-            }),
-        }
-    }
-    Ok(CheckpointLoad {
-        slots: results,
-        skipped,
-    })
 }
-
-// ---------------------------------------------------------------------------
-// Format v2: packed binary, per-record CRC32, end-of-shard trailer.
-// ---------------------------------------------------------------------------
 
 /// Magic prefix of a v2 checkpoint / shard file.
 const MAGIC_V2: &[u8] = b"moa-ckpt-v2\n";
@@ -702,13 +506,50 @@ fn decode_record_payload(payload: &[u8]) -> Result<(u64, FaultResult), String> {
 /// indices are written as global indices (`shard.offset + local`). With
 /// `shard == None` the file is the trivial shard 0 of 1.
 ///
-/// Written atomically like v1: temp file, `fsync`, rename.
+/// Written atomically: temp file, `fsync`, rename.
 pub fn write_checkpoint_v2(
     path: &Path,
     header: &CheckpointHeader,
     shard: Option<&ShardInfo>,
     results: &[Option<FaultResult>],
 ) -> Result<(), Error> {
+    let bytes = encode_v2(header, shard, results);
+    let write_err = |source: std::io::Error| Error::CheckpointWrite {
+        path: path.display().to_string(),
+        source,
+    };
+    let tmp = path.with_extension("tmp");
+    // Campaign checkpoints and shard files keep separate chaos sites.
+    #[cfg(feature = "failpoints")]
+    if let Some(e) = crate::failpoint::io_error(if shard.is_some() {
+        "fp/shard.write"
+    } else {
+        "fp/checkpoint.write"
+    }) {
+        return Err(write_err(e));
+    }
+    let mut file = fs::File::create(&tmp).map_err(write_err)?;
+    file.write_all(&bytes).map_err(write_err)?;
+    // Durability before visibility: fsync the temp file so the rename below
+    // can never publish a checkpoint whose data is still in page cache —
+    // otherwise a crash after the rename could leave a *named* but empty or
+    // partial file, defeating the atomic-replace guarantee.
+    file.sync_all().map_err(write_err)?;
+    drop(file);
+    #[cfg(feature = "failpoints")]
+    if let Some(e) = crate::failpoint::io_error("fp/checkpoint.rename") {
+        return Err(write_err(e));
+    }
+    fs::rename(&tmp, path).map_err(write_err)
+}
+
+/// Serializes `results` into the bytes of a v2 file (see
+/// [`write_checkpoint_v2`] for the meaning of `header` and `shard`).
+fn encode_v2(
+    header: &CheckpointHeader,
+    shard: Option<&ShardInfo>,
+    results: &[Option<FaultResult>],
+) -> Vec<u8> {
     let info = match shard {
         Some(info) => *info,
         None => ShardInfo::unsharded(header.total_faults),
@@ -733,46 +574,34 @@ pub fn write_checkpoint_v2(
     put_u32(&mut bytes, crc32(&payload));
 
     let mut record_count = 0u64;
-    let mut payload = Vec::with_capacity(128);
     for (local, result) in results.iter().enumerate() {
         let Some(r) = result else { continue };
-        payload.clear();
-        put_u64(&mut payload, info.offset + local as u64);
-        put_u64(&mut payload, r.runs as u64);
-        put_u64(&mut payload, r.counters.n_det);
-        put_u64(&mut payload, r.counters.n_conf);
-        put_u64(&mut payload, r.counters.n_extra);
-        encode_status(&mut payload, &r.status);
-        bytes.push(TAG_RECORD);
-        put_u32(&mut bytes, payload.len() as u32);
-        bytes.extend_from_slice(&payload);
-        put_u32(&mut bytes, crc32(&payload));
+        push_record(&mut bytes, info.offset + local as u64, r);
         record_count += 1;
     }
     bytes.push(TAG_TRAILER);
     let count_bytes = record_count.to_le_bytes();
     bytes.extend_from_slice(&count_bytes);
     put_u32(&mut bytes, crc32(&count_bytes));
+    bytes
+}
 
-    let write_err = |source: std::io::Error| Error::CheckpointWrite {
-        path: path.display().to_string(),
-        source,
-    };
-    let tmp = path.with_extension("tmp");
-    #[cfg(feature = "failpoints")]
-    if let Some(e) = crate::failpoint::io_error("fp/shard.write") {
-        return Err(write_err(e));
-    }
-    let mut file = fs::File::create(&tmp).map_err(write_err)?;
-    file.write_all(&bytes).map_err(write_err)?;
-    // Same durability-before-visibility rule as the v1 writer.
-    file.sync_all().map_err(write_err)?;
-    drop(file);
-    #[cfg(feature = "failpoints")]
-    if let Some(e) = crate::failpoint::io_error("fp/checkpoint.rename") {
-        return Err(write_err(e));
-    }
-    fs::rename(&tmp, path).map_err(write_err)
+/// Appends one tagged, length-prefixed, checksummed record frame.
+fn push_record(bytes: &mut Vec<u8>, global: u64, r: &FaultResult) {
+    bytes.push(TAG_RECORD);
+    let len_at = bytes.len();
+    put_u32(bytes, 0);
+    let start = bytes.len();
+    put_u64(bytes, global);
+    put_u64(bytes, r.runs as u64);
+    put_u64(bytes, r.counters.n_det);
+    put_u64(bytes, r.counters.n_conf);
+    put_u64(bytes, r.counters.n_extra);
+    encode_status(bytes, &r.status);
+    let len = (bytes.len() - start) as u32;
+    bytes[len_at..start].copy_from_slice(&len.to_le_bytes());
+    let crc = crc32(&bytes[start..]);
+    put_u32(bytes, crc);
 }
 
 /// The strictly-validated contents of one v2 shard file.
@@ -796,7 +625,6 @@ fn read_v2_header(
 ) -> Result<(CheckpointHeader, ShardInfo, usize), Error> {
     let err = |message: String| Error::Checkpoint {
         path: path.display().to_string(),
-        line: None,
         message,
     };
     let mut cur = Cursor::new(bytes);
@@ -944,10 +772,11 @@ fn walk_v2_body(bytes: &[u8], body_start: usize, mut visit: impl FnMut(V2Item) -
     }
 }
 
-/// The lenient v2 resume reader (see the module docs for the damage
-/// policy). `expected` is the resuming campaign's identity — shard-local
-/// when `shard` is given, global otherwise.
-fn read_v2_lenient(
+/// The lenient resume decoder over a file's bytes (see the module docs for
+/// the damage policy); `path` only labels errors. `expected` is the resuming
+/// campaign's identity — shard-local when `shard` is given, global
+/// otherwise.
+fn decode_lenient(
     path: &Path,
     bytes: &[u8],
     expected: &CheckpointHeader,
@@ -955,9 +784,11 @@ fn read_v2_lenient(
 ) -> Result<CheckpointLoad, Error> {
     let err = |message: String| Error::Checkpoint {
         path: path.display().to_string(),
-        line: None,
         message,
     };
+    if !bytes.starts_with(MAGIC_V2) {
+        return Err(err(not_v2_message(bytes)));
+    }
     let (header, info, body_start) = read_v2_header(path, bytes)?;
     match shard {
         None => {
@@ -1018,7 +849,7 @@ fn read_v2_lenient(
                         .map(|l| l as usize);
                     match local {
                         None => skipped.push(CheckpointSkip {
-                            line: ordinal as usize,
+                            record: ordinal as usize,
                             message: format!(
                                 "record {ordinal} at byte {at}: fault index {global} outside \
                                  the shard range [{}, {})",
@@ -1027,7 +858,7 @@ fn read_v2_lenient(
                             ),
                         }),
                         Some(local) if slots[local].is_some() => skipped.push(CheckpointSkip {
-                            line: ordinal as usize,
+                            record: ordinal as usize,
                             message: format!(
                                 "record {ordinal} at byte {at}: duplicate record for fault \
                                  {global} (keeping the first)"
@@ -1037,7 +868,7 @@ fn read_v2_lenient(
                     }
                 }
                 Err(message) => skipped.push(CheckpointSkip {
-                    line: ordinal as usize,
+                    record: ordinal as usize,
                     message: format!("record {ordinal} at byte {at}: {message}"),
                 }),
             }
@@ -1050,18 +881,18 @@ fn read_v2_lenient(
                     stored_count = count;
                 }
                 Err(message) => skipped.push(CheckpointSkip {
-                    line: 0,
+                    record: 0,
                     message: format!("byte {at}: {message}"),
                 }),
             }
             false
         }
-        // A torn tail mirrors v1's un-terminated final line: dropped
-        // silently, the missing-trailer warning below records the cut.
+        // A torn tail is dropped silently: the missing-trailer warning below
+        // records the cut.
         V2Item::Torn(_) => false,
         V2Item::BadTag(at, tag) => {
             skipped.push(CheckpointSkip {
-                line: 0,
+                record: 0,
                 message: format!(
                     "byte {at}: unrecognized tag {tag:#04x}; dropping the rest of the \
                      record stream"
@@ -1072,14 +903,14 @@ fn read_v2_lenient(
     });
     if !saw_trailer {
         skipped.push(CheckpointSkip {
-            line: 0,
+            record: 0,
             message: "missing end-of-shard trailer (torn file?); kept the records that \
                       checksummed clean"
                 .into(),
         });
     } else if stored_count != frames {
         skipped.push(CheckpointSkip {
-            line: 0,
+            record: 0,
             message: format!(
                 "end-of-shard trailer promises {stored_count} record(s), found {frames}"
             ),
@@ -1091,41 +922,46 @@ fn read_v2_lenient(
 /// Reads a v2 shard file **strictly** for an integrity-verified merge: any
 /// damage — bad checksum anywhere, malformed payload, torn record, missing
 /// or mismatching trailer, duplicate or out-of-range fault index — is a
-/// located hard [`Error::Checkpoint`]. `line` in the error is the 1-based
-/// record ordinal where applicable.
+/// located hard [`Error::Checkpoint`]: the message names the record ordinal
+/// and byte offset where applicable.
 pub fn read_shard(path: &Path) -> Result<ShardFile, Error> {
-    let err = |line: Option<usize>, message: String| Error::Checkpoint {
+    let err = |message: String| Error::Checkpoint {
         path: path.display().to_string(),
-        line,
         message,
     };
     #[cfg(feature = "failpoints")]
     if let Some(e) = crate::failpoint::io_error("fp/shard.read") {
-        return Err(err(None, format!("cannot read shard file: {e}")));
+        return Err(err(format!("cannot read shard file: {e}")));
     }
-    let bytes = fs::read(path).map_err(|e| err(None, format!("cannot read shard file: {e}")))?;
+    let bytes = fs::read(path).map_err(|e| err(format!("cannot read shard file: {e}")))?;
+    decode_shard(path, &bytes)
+}
+
+/// The strict decoder behind [`read_shard`]; `path` only labels errors.
+fn decode_shard(path: &Path, bytes: &[u8]) -> Result<ShardFile, Error> {
+    let err = |message: String| Error::Checkpoint {
+        path: path.display().to_string(),
+        message,
+    };
     if !bytes.starts_with(MAGIC_V2) {
-        return Err(err(
-            None,
-            "not a v2 shard file (missing `moa-ckpt-v2` magic)".into(),
-        ));
+        return Err(err(not_v2_message(bytes)));
     }
-    let (header, shard, body_start) = read_v2_header(path, &bytes)?;
+    let (header, shard, body_start) = read_v2_header(path, bytes)?;
     let mut records: Vec<(u64, FaultResult)> = Vec::new();
-    let mut seen = vec![false; shard.len as usize];
+    // A set, not a bitmap sized by the header: the shard length is read from
+    // the file and must not decide an allocation.
+    let mut seen = std::collections::HashSet::new();
     let mut fatal: Option<Error> = None;
     let mut trailer: Option<u64> = None;
-    walk_v2_body(&bytes, body_start, |item| match item {
+    walk_v2_body(bytes, body_start, |item| match item {
         V2Item::Record(ordinal, at, decoded) => match decoded {
             Ok((global, result)) => {
                 let local = global
                     .checked_sub(shard.offset)
-                    .filter(|&l| l < shard.len)
-                    .map(|l| l as usize);
+                    .filter(|&l| l < shard.len);
                 match local {
                     None => {
                         fatal = Some(err(
-                            Some(ordinal as usize),
                             format!(
                                 "record {ordinal} at byte {at}: fault index {global} outside \
                                  the shard range [{}, {})",
@@ -1135,9 +971,8 @@ pub fn read_shard(path: &Path) -> Result<ShardFile, Error> {
                         ));
                         false
                     }
-                    Some(local) if seen[local] => {
+                    Some(local) if !seen.insert(local) => {
                         fatal = Some(err(
-                            Some(ordinal as usize),
                             format!(
                                 "record {ordinal} at byte {at}: duplicate record for \
                                  fault {global}"
@@ -1145,40 +980,32 @@ pub fn read_shard(path: &Path) -> Result<ShardFile, Error> {
                         ));
                         false
                     }
-                    Some(local) => {
-                        seen[local] = true;
+                    Some(_) => {
                         records.push((global, result));
                         true
                     }
                 }
             }
             Err(message) => {
-                fatal = Some(err(
-                    Some(ordinal as usize),
-                    format!("record {ordinal} at byte {at}: {message}"),
-                ));
+                fatal = Some(err(format!("record {ordinal} at byte {at}: {message}")));
                 false
             }
         },
         V2Item::Trailer(at, outcome) => {
             match outcome {
                 Ok(count) => trailer = Some(count),
-                Err(message) => fatal = Some(err(None, format!("byte {at}: {message}"))),
+                Err(message) => fatal = Some(err(format!("byte {at}: {message}"))),
             }
             false
         }
         V2Item::Torn(at) => {
-            fatal = Some(err(
-                None,
-                format!("torn shard file: cut off mid-record at byte {at}"),
-            ));
+            fatal = Some(err(format!(
+                "torn shard file: cut off mid-record at byte {at}"
+            )));
             false
         }
         V2Item::BadTag(at, tag) => {
-            fatal = Some(err(
-                None,
-                format!("unrecognized tag {tag:#04x} at byte {at}"),
-            ));
+            fatal = Some(err(format!("unrecognized tag {tag:#04x} at byte {at}")));
             false
         }
     });
@@ -1187,19 +1014,13 @@ pub fn read_shard(path: &Path) -> Result<ShardFile, Error> {
     }
     match trailer {
         None => {
-            return Err(err(
-                None,
-                "torn shard file: missing end-of-shard trailer".into(),
-            ))
+            return Err(err("torn shard file: missing end-of-shard trailer".into()))
         }
         Some(count) if count != records.len() as u64 => {
-            return Err(err(
-                None,
-                format!(
-                    "end-of-shard trailer promises {count} record(s), found {}",
-                    records.len()
-                ),
-            ))
+            return Err(err(format!(
+                "end-of-shard trailer promises {count} record(s), found {}",
+                records.len()
+            )))
         }
         Some(_) => {}
     }
@@ -1210,7 +1031,7 @@ pub fn read_shard(path: &Path) -> Result<ShardFile, Error> {
     })
 }
 
-/// The v1 "different campaign" message, shared with the v2 readers and the
+/// The "different campaign" message, shared by the resume reader and the
 /// shard merge.
 pub(crate) fn mismatch_message(found: &CheckpointHeader, expected: &CheckpointHeader) -> String {
     format!(
@@ -1226,305 +1047,117 @@ pub(crate) fn mismatch_message(found: &CheckpointHeader, expected: &CheckpointHe
     )
 }
 
-/// Parses one `fault ...` body line; the error string locates the damage
-/// for the skip warning.
-fn parse_fault_line(line: &str, total_faults: usize) -> Result<(usize, FaultResult), String> {
-    let rest = line
-        .strip_prefix("fault ")
-        .ok_or_else(|| format!("expected `fault ...`, found {line:?}"))?;
-    let mut fields = rest.splitn(6, ' ');
-    let mut next_num = |what: &str| -> Result<u64, String> {
-        let field = fields.next().ok_or_else(|| format!("missing {what}"))?;
-        field
-            .parse()
-            .map_err(|_| format!("bad {what} {field:?}"))
-    };
-    let index = next_num("fault index")? as usize;
-    let runs = next_num("run count")? as usize;
-    let counters = Counters {
-        n_det: next_num("n_det")?,
-        n_conf: next_num("n_conf")?,
-        n_extra: next_num("n_extra")?,
-    };
-    let status_text = fields.next().ok_or_else(|| "missing status".to_owned())?;
-    let status =
-        status_from_line(status_text).ok_or_else(|| format!("bad status {status_text:?}"))?;
-    if index >= total_faults {
-        return Err(format!(
-            "fault index {index} out of range (campaign has {total_faults} faults)"
-        ));
-    }
-    Ok((
-        index,
-        FaultResult {
-            status,
-            counters,
-            runs,
-        },
-    ))
-}
-
-fn status_to_line(status: &FaultStatus) -> String {
-    match status {
-        FaultStatus::DetectedConventional(d) => format!("conv {} {}", d.time, d.output),
-        FaultStatus::SkippedConditionC => "skip-c".into(),
-        FaultStatus::DetectedByImplications(k) => format!("impl {} {}", k.u, k.i),
-        FaultStatus::DetectedByForcedAssignments => "forced".into(),
-        FaultStatus::DetectedByExpansion { sequences } => format!("expanded {sequences}"),
-        FaultStatus::NotDetected {
-            undecided,
-            sequences,
-            truncated,
-            aborted,
-        } => format!(
-            "not-detected {undecided} {sequences} {} {}",
-            u8::from(*truncated),
-            u8::from(*aborted)
-        ),
-        FaultStatus::Untestable { proof } => match proof {
-            moa_analyze::UntestableProof::Unobservable => "untestable unobservable".into(),
-            moa_analyze::UntestableProof::ConstantLine { value } => {
-                format!("untestable constant {}", u8::from(*value))
-            }
-        },
-        FaultStatus::BudgetExceeded { stage, work } => format!("budget {stage} {work}"),
-        FaultStatus::PartialVerdict {
-            lower_bound,
-            stage_reached,
-            tripped,
-            work_spent,
-        } => {
-            let bound = match lower_bound {
-                PartialBound::Detected { sequences } => format!("detected {sequences}"),
-                PartialBound::NotDetected {
-                    undecided,
-                    sequences,
-                } => format!("not-detected {undecided} {sequences}"),
-                PartialBound::Unknown => "unknown".into(),
-            };
-            format!("partial {stage_reached} {tripped} {work_spent} {bound}")
-        }
-        FaultStatus::Faulted { message } => format!("faulted {}", escape(message)),
-        FaultStatus::AuditFailed { reason } => format!("audit-failed {}", escape(reason)),
-    }
-}
-
-fn status_from_line(text: &str) -> Option<FaultStatus> {
-    let (kind, rest) = match text.split_once(' ') {
-        Some((kind, rest)) => (kind, rest),
-        None => (text, ""),
-    };
-    let mut nums = rest.split(' ').map(str::parse::<usize>);
-    let mut next = || nums.next()?.ok();
-    Some(match kind {
-        "conv" => FaultStatus::DetectedConventional(Detection {
-            time: next()?,
-            output: next()?,
-        }),
-        "skip-c" if rest.is_empty() => FaultStatus::SkippedConditionC,
-        "impl" => FaultStatus::DetectedByImplications(PairKey {
-            u: next()?,
-            i: next()?,
-        }),
-        "forced" if rest.is_empty() => FaultStatus::DetectedByForcedAssignments,
-        "expanded" => FaultStatus::DetectedByExpansion { sequences: next()? },
-        "not-detected" => FaultStatus::NotDetected {
-            undecided: next()?,
-            sequences: next()?,
-            truncated: parse_bool(next()?)?,
-            aborted: parse_bool(next()?)?,
-        },
-        "untestable" => FaultStatus::Untestable {
-            proof: match rest {
-                "unobservable" => moa_analyze::UntestableProof::Unobservable,
-                "constant 0" => moa_analyze::UntestableProof::ConstantLine { value: false },
-                "constant 1" => moa_analyze::UntestableProof::ConstantLine { value: true },
-                _ => return None,
-            },
-        },
-        "budget" => {
-            let (stage, work) = rest.split_once(' ')?;
-            FaultStatus::BudgetExceeded {
-                stage: stage.parse().ok()?,
-                work: work.parse().ok()?,
-            }
-        }
-        "partial" => {
-            let mut parts = rest.splitn(4, ' ');
-            let stage_reached: DegradeStage = parts.next()?.parse().ok()?;
-            let tripped: BudgetStage = parts.next()?.parse().ok()?;
-            let work_spent: u64 = parts.next()?.parse().ok()?;
-            let bound_text = parts.next()?;
-            let lower_bound = match bound_text.split_once(' ') {
-                None if bound_text == "unknown" => PartialBound::Unknown,
-                Some(("detected", n)) => PartialBound::Detected {
-                    sequences: n.parse().ok()?,
-                },
-                Some(("not-detected", rest)) => {
-                    let (u, s) = rest.split_once(' ')?;
-                    PartialBound::NotDetected {
-                        undecided: u.parse().ok()?,
-                        sequences: s.parse().ok()?,
-                    }
-                }
-                _ => return None,
-            };
-            FaultStatus::PartialVerdict {
-                lower_bound,
-                stage_reached,
-                tripped,
-                work_spent,
-            }
-        }
-        "faulted" => FaultStatus::Faulted {
-            message: unescape(rest),
-        },
-        "audit-failed" => FaultStatus::AuditFailed {
-            reason: unescape(rest),
-        },
-        _ => return None,
-    })
-}
-
-fn parse_bool(n: usize) -> Option<bool> {
-    match n {
-        0 => Some(false),
-        1 => Some(true),
-        _ => None,
-    }
-}
-
-/// Escapes newlines and backslashes so a panic message fits one line.
-fn escape(message: &str) -> String {
-    message
-        .replace('\\', "\\\\")
-        .replace('\n', "\\n")
-        .replace('\r', "\\r")
-}
-
-fn unescape(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    let mut chars = text.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            // An escaped backslash and a trailing backslash both decode to one.
-            Some('\\') | None => out.push('\\'),
-            Some(other) => {
-                out.push('\\');
-                out.push(other);
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// A per-test, per-process scratch directory, removed when dropped, so
+    /// concurrent test runs never share a file.
+    struct TestDir(std::path::PathBuf);
+
+    impl TestDir {
+        fn new(tag: &str) -> Self {
+            let dir =
+                std::env::temp_dir().join(format!("moa-checkpoint-{tag}-{}", std::process::id()));
+            std::fs::create_dir_all(&dir).unwrap();
+            TestDir(dir)
+        }
+
+        fn join(&self, name: &str) -> std::path::PathBuf {
+            self.0.join(name)
+        }
+    }
+
+    impl Drop for TestDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
     fn header() -> CheckpointHeader {
+        header_for(5)
+    }
+
+    fn header_for(total_faults: usize) -> CheckpointHeader {
         CheckpointHeader {
             circuit: "s27".into(),
-            total_faults: 5,
+            total_faults,
             seq_len: 32,
         }
     }
 
+    fn done(status: FaultStatus, runs: usize) -> FaultResult {
+        FaultResult {
+            status,
+            counters: Counters {
+                n_det: 1,
+                n_conf: 2,
+                n_extra: 3,
+            },
+            runs,
+        }
+    }
+
     fn sample_results() -> Vec<Option<FaultResult>> {
-        let r = |status: FaultStatus| {
-            Some(FaultResult {
-                status,
-                counters: Counters {
-                    n_det: 1,
-                    n_conf: 2,
-                    n_extra: 3,
-                },
-                runs: 7,
-            })
-        };
         vec![
-            r(FaultStatus::DetectedConventional(Detection { time: 4, output: 1 })),
+            Some(done(
+                FaultStatus::DetectedConventional(Detection { time: 4, output: 1 }),
+                7,
+            )),
             None,
-            r(FaultStatus::NotDetected {
-                undecided: 2,
-                sequences: 8,
-                truncated: true,
-                aborted: false,
-            }),
-            r(FaultStatus::BudgetExceeded {
-                stage: BudgetStage::Resimulation,
-                work: 12345,
-            }),
-            r(FaultStatus::Faulted {
-                message: "boom\nwith \\ newline".into(),
-            }),
+            Some(done(
+                FaultStatus::NotDetected {
+                    undecided: 2,
+                    sequences: 8,
+                    truncated: true,
+                    aborted: false,
+                },
+                7,
+            )),
+            Some(done(
+                FaultStatus::BudgetExceeded {
+                    stage: BudgetStage::Resimulation,
+                    work: 12345,
+                },
+                7,
+            )),
+            Some(done(
+                FaultStatus::Faulted {
+                    message: "boom\nwith \\ newline".into(),
+                },
+                7,
+            )),
         ]
     }
 
-    #[test]
-    fn round_trips_every_status() {
-        let dir = std::env::temp_dir().join("moa-checkpoint-test-roundtrip");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("cp.txt");
-        let results = sample_results();
-        write_checkpoint(&path, &header(), &results).unwrap();
-        let loaded = read_checkpoint(&path, &header()).unwrap();
-        assert_eq!(loaded.slots, results);
-        assert!(loaded.skipped.is_empty());
-
-        // Statuses not in sample_results round-trip too.
-        let extra = vec![
-            Some(FaultResult {
-                status: FaultStatus::DetectedByImplications(PairKey { u: 3, i: 1 }),
-                counters: Counters::new(),
-                runs: 2,
-            }),
-            Some(FaultResult {
-                status: FaultStatus::SkippedConditionC,
-                counters: Counters::new(),
-                runs: 0,
-            }),
-            Some(FaultResult {
-                status: FaultStatus::DetectedByForcedAssignments,
-                counters: Counters::new(),
-                runs: 1,
-            }),
-            Some(FaultResult {
-                status: FaultStatus::DetectedByExpansion { sequences: 64 },
-                counters: Counters::new(),
-                runs: 9,
-            }),
-            Some(FaultResult {
-                status: FaultStatus::AuditFailed {
+    /// One slot of every status shape (and one unfinished slot).
+    fn every_status() -> Vec<Option<FaultResult>> {
+        let mut slots = sample_results();
+        slots.extend([
+            Some(done(
+                FaultStatus::DetectedByImplications(PairKey { u: 3, i: 1 }),
+                2,
+            )),
+            Some(done(FaultStatus::SkippedConditionC, 0)),
+            Some(done(FaultStatus::DetectedByForcedAssignments, 1)),
+            Some(done(FaultStatus::DetectedByExpansion { sequences: 64 }, 9)),
+            Some(done(
+                FaultStatus::AuditFailed {
                     reason: "cube (1,0)=1 state 3: output 0 at time 2\nnot covered".into(),
                 },
-                counters: Counters::new(),
-                runs: 4,
-            }),
-        ];
-        write_checkpoint(&path, &header(), &extra).unwrap();
-        assert_eq!(read_checkpoint(&path, &header()).unwrap().slots, extra);
-
-        // Every shape of the degradation ladder's partial verdict.
-        let partial = vec![
-            Some(FaultResult {
-                status: FaultStatus::PartialVerdict {
+                4,
+            )),
+            Some(done(
+                FaultStatus::PartialVerdict {
                     lower_bound: PartialBound::Detected { sequences: 16 },
                     stage_reached: DegradeStage::ExpansionOnly,
                     tripped: BudgetStage::Collection,
                     work_spent: 9001,
                 },
-                counters: Counters::new(),
-                runs: 3,
-            }),
-            Some(FaultResult {
-                status: FaultStatus::PartialVerdict {
+                3,
+            )),
+            Some(done(
+                FaultStatus::PartialVerdict {
                     lower_bound: PartialBound::NotDetected {
                         undecided: 4,
                         sequences: 32,
@@ -1533,197 +1166,199 @@ mod tests {
                     tripped: BudgetStage::Resimulation,
                     work_spent: 77,
                 },
-                counters: Counters::new(),
-                runs: 0,
-            }),
-            Some(FaultResult {
-                status: FaultStatus::PartialVerdict {
+                0,
+            )),
+            Some(done(
+                FaultStatus::PartialVerdict {
                     lower_bound: PartialBound::Unknown,
                     stage_reached: DegradeStage::Conventional,
                     tripped: BudgetStage::Expansion,
                     work_spent: 123,
                 },
-                counters: Counters::new(),
-                runs: 0,
-            }),
-            None,
-            None,
-        ];
-        write_checkpoint(&path, &header(), &partial).unwrap();
-        assert_eq!(read_checkpoint(&path, &header()).unwrap().slots, partial);
-
-        let untestable = vec![
-            Some(FaultResult {
-                status: FaultStatus::Untestable {
+                0,
+            )),
+            Some(done(
+                FaultStatus::Untestable {
                     proof: moa_analyze::UntestableProof::Unobservable,
                 },
-                counters: Counters::new(),
-                runs: 0,
-            }),
-            Some(FaultResult {
-                status: FaultStatus::Untestable {
+                0,
+            )),
+            Some(done(
+                FaultStatus::Untestable {
                     proof: moa_analyze::UntestableProof::ConstantLine { value: false },
                 },
-                counters: Counters::new(),
-                runs: 0,
-            }),
-            Some(FaultResult {
-                status: FaultStatus::Untestable {
+                0,
+            )),
+            Some(done(
+                FaultStatus::Untestable {
                     proof: moa_analyze::UntestableProof::ConstantLine { value: true },
                 },
-                counters: Counters::new(),
-                runs: 0,
-            }),
-            None,
-            None,
-        ];
-        write_checkpoint(&path, &header(), &untestable).unwrap();
-        assert_eq!(read_checkpoint(&path, &header()).unwrap().slots, untestable);
+                0,
+            )),
+        ]);
+        slots
+    }
+
+    /// Byte offsets of the record frames of a valid file, in file order.
+    fn record_offsets(bytes: &[u8]) -> Vec<usize> {
+        let (_, _, body_start) = read_v2_header(Path::new("x"), bytes).unwrap();
+        let mut offsets = Vec::new();
+        walk_v2_body(bytes, body_start, |item| {
+            if let V2Item::Record(_, at, _) = item {
+                offsets.push(at);
+            }
+            true
+        });
+        offsets
+    }
+
+    /// Appends a well-formed record for `global` to a valid file: the frame
+    /// is inserted before the trailer and the trailer's count (and checksum)
+    /// is bumped, so only the record's *content* is wrong.
+    fn with_extra_record(bytes: &[u8], global: u64, result: &FaultResult) -> Vec<u8> {
+        let trailer_at = bytes.len() - 13;
+        let count = u64::from_le_bytes(bytes[trailer_at + 1..trailer_at + 9].try_into().unwrap());
+        let mut out = bytes[..trailer_at].to_vec();
+        push_record(&mut out, global, result);
+        out.push(TAG_TRAILER);
+        let count_bytes = (count + 1).to_le_bytes();
+        out.extend_from_slice(&count_bytes);
+        put_u32(&mut out, crc32(&count_bytes));
+        out
+    }
+
+    #[test]
+    fn round_trips_every_status() {
+        let dir = TestDir::new("roundtrip");
+        let path = dir.join("cp.ckpt");
+        let results = every_status();
+        let header = header_for(results.len());
+        write_checkpoint_v2(&path, &header, None, &results).unwrap();
+        let loaded = read_checkpoint(&path, &header).unwrap();
+        assert_eq!(loaded.slots, results);
+        assert!(loaded.skipped.is_empty());
     }
 
     #[test]
     fn rejects_mismatched_campaign() {
-        let dir = std::env::temp_dir().join("moa-checkpoint-test-mismatch");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("cp.txt");
-        write_checkpoint(&path, &header(), &sample_results()).unwrap();
+        let dir = TestDir::new("mismatch");
+        let path = dir.join("cp.ckpt");
+        write_checkpoint_v2(&path, &header(), None, &sample_results()).unwrap();
         let other = CheckpointHeader {
             circuit: "s208".into(),
             ..header()
         };
         let e = read_checkpoint(&path, &other).unwrap_err();
         assert!(e.to_string().contains("different campaign"), "{e}");
+
+        // A shard file is not an unsharded campaign's checkpoint.
+        let (local, info) = shard_fixture();
+        write_checkpoint_v2(&path, &local, Some(&info), &sample_results()).unwrap();
+        let e = read_checkpoint(&path, &header()).unwrap_err();
+        assert!(
+            e.to_string().contains("expected an unsharded checkpoint"),
+            "{e}"
+        );
     }
 
     #[test]
     fn header_damage_is_still_a_hard_error() {
-        let dir = std::env::temp_dir().join("moa-checkpoint-test-corrupt");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TestDir::new("corrupt");
 
-        let missing = dir.join("does-not-exist.txt");
+        let missing = dir.join("does-not-exist.ckpt");
         assert!(read_checkpoint(&missing, &header()).is_err());
 
-        let garbage = dir.join("garbage.txt");
+        let garbage = dir.join("garbage.ckpt");
         std::fs::write(&garbage, "hello world\n").unwrap();
         let e = read_checkpoint(&garbage, &header()).unwrap_err();
         assert!(e.to_string().contains("not a checkpoint file"), "{e}");
 
-        let bad_count = dir.join("bad-count.txt");
-        std::fs::write(&bad_count, format!("{MAGIC}\ncircuit s27\nfaults ??\nseq-len 32\n"))
-            .unwrap();
-        let e = read_checkpoint(&bad_count, &header()).unwrap_err();
-        assert!(e.to_string().contains("bad fault count"), "{e}");
+        // The retired text format is refused by name.
+        let v1 = dir.join("v1.ckpt");
+        std::fs::write(
+            &v1,
+            "moa-checkpoint v1\ncircuit s27\nfaults 5\nseq-len 32\n",
+        )
+        .unwrap();
+        for e in [
+            read_checkpoint(&v1, &header()).unwrap_err(),
+            read_shard(&v1).unwrap_err(),
+        ] {
+            let text = e.to_string();
+            assert!(text.contains("format v1 (`moa-checkpoint v1`)"), "{text}");
+            assert!(text.contains("no longer supported"), "{text}");
+        }
+
+        let path = dir.join("header.ckpt");
+        write_checkpoint_v2(&path, &header(), None, &sample_results()).unwrap();
+        let valid = std::fs::read(&path).unwrap();
+        // Inside the header payload: magic, then the u32 payload length.
+        let mut flipped = valid.clone();
+        flipped[MAGIC_V2.len() + 4 + 6] ^= 0x01;
+        std::fs::write(&path, &flipped).unwrap();
+        let e = read_checkpoint(&path, &header()).unwrap_err();
+        assert!(e.to_string().contains("header checksum mismatch"), "{e}");
+
+        std::fs::write(&path, &valid[..MAGIC_V2.len() + 10]).unwrap();
+        let e = read_checkpoint(&path, &header()).unwrap_err();
+        assert!(e.to_string().contains("truncated header"), "{e}");
     }
 
     #[test]
     fn corrupt_interior_records_are_skipped_with_located_warnings() {
-        let dir = std::env::temp_dir().join("moa-checkpoint-test-skip");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TestDir::new("skip");
+        let path = dir.join("cp.ckpt");
+        write_checkpoint_v2(&path, &header(), None, &sample_results()).unwrap();
+        let valid = std::fs::read(&path).unwrap();
 
-        // Slot 1 gets a garbage status, then a valid record; the garbage is
-        // skipped with its line number and the valid record still lands.
-        let bad_line = dir.join("bad-line.txt");
-        write_checkpoint(&bad_line, &header(), &sample_results()).unwrap();
-        let mut text = std::fs::read_to_string(&bad_line).unwrap();
-        text.push_str("fault 1 0 0 0 0 frobnicated\n");
-        text.push_str("fault 1 0 0 0 0 skip-c\n");
-        std::fs::write(&bad_line, text).unwrap();
-        let loaded = read_checkpoint(&bad_line, &header()).unwrap();
-        assert_eq!(loaded.skipped.len(), 1);
-        assert_eq!(loaded.skipped[0].line, 9, "located at the damaged line");
-        assert!(loaded.skipped[0].message.contains("bad status"));
+        // Damage the second of four records (fault 2): it is skipped with
+        // its ordinal and byte offset, and the records after it still land.
+        let at = record_offsets(&valid)[1];
+        let mut bytes = valid.clone();
+        bytes[at + 5] ^= 0x04;
+        std::fs::write(&path, &bytes).unwrap();
+        let loaded = read_checkpoint(&path, &header()).unwrap();
+        let mut expected = sample_results();
+        expected[2] = None;
         assert_eq!(
-            loaded.slots[1],
-            Some(FaultResult {
-                status: FaultStatus::SkippedConditionC,
-                counters: Counters::new(),
-                runs: 0,
-            }),
+            loaded.slots, expected,
             "records after the damage still load"
         );
+        assert_eq!(loaded.skipped.len(), 1, "{:?}", loaded.skipped);
+        let skip = &loaded.skipped[0];
+        assert_eq!(skip.record, 2, "located at the record ordinal");
+        assert!(skip.message.contains("checksum mismatch"), "{skip}");
+        let shown = skip.to_string();
+        assert!(
+            shown.starts_with(&format!("record 2 at byte {at}: ")),
+            "{shown}"
+        );
+        assert_eq!(
+            shown.matches("record").count(),
+            1,
+            "location printed once: {shown}"
+        );
 
-        let out_of_range = dir.join("out-of-range.txt");
-        write_checkpoint(&out_of_range, &header(), &sample_results()).unwrap();
-        let mut text = std::fs::read_to_string(&out_of_range).unwrap();
-        text.push_str("fault 99 0 0 0 0 skip-c\n");
-        std::fs::write(&out_of_range, text).unwrap();
-        let loaded = read_checkpoint(&out_of_range, &header()).unwrap();
+        // A well-formed record for a fault outside the campaign is skipped.
+        let skip_c = done(FaultStatus::SkippedConditionC, 0);
+        std::fs::write(&path, with_extra_record(&valid, 99, &skip_c)).unwrap();
+        let loaded = read_checkpoint(&path, &header()).unwrap();
         assert_eq!(loaded.slots, sample_results());
-        assert_eq!(loaded.skipped.len(), 1);
-        assert!(loaded.skipped[0].message.contains("out of range"));
+        assert_eq!(loaded.skipped.len(), 1, "{:?}", loaded.skipped);
+        assert_eq!(loaded.skipped[0].record, 5);
+        assert!(loaded.skipped[0]
+            .message
+            .contains("outside the shard range"));
 
         // A duplicate record keeps the first occurrence and warns.
-        let duplicate = dir.join("duplicate.txt");
-        write_checkpoint(&duplicate, &header(), &sample_results()).unwrap();
-        let mut text = std::fs::read_to_string(&duplicate).unwrap();
-        text.push_str("fault 0 9 9 9 9 forced\n");
-        std::fs::write(&duplicate, text).unwrap();
-        let loaded = read_checkpoint(&duplicate, &header()).unwrap();
+        let forced = done(FaultStatus::DetectedByForcedAssignments, 9);
+        std::fs::write(&path, with_extra_record(&valid, 0, &forced)).unwrap();
+        let loaded = read_checkpoint(&path, &header()).unwrap();
         assert_eq!(loaded.slots, sample_results(), "first record wins");
         assert_eq!(loaded.skipped.len(), 1);
         assert!(loaded.skipped[0].message.contains("duplicate"));
-    }
-
-    #[test]
-    fn torn_final_fault_line_is_dropped_and_left_unsimulated() {
-        let dir = std::env::temp_dir().join("moa-checkpoint-test-torn");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("torn.txt");
-        write_checkpoint(&path, &header(), &sample_results()).unwrap();
-        // Cut the file off mid-way through the last fault record, with no
-        // trailing newline — the shape a torn write leaves behind.
-        let text = std::fs::read_to_string(&path).unwrap();
-        let full = text.trim_end_matches('\n');
-        std::fs::write(&path, &full[..full.len() - 3]).unwrap();
-
-        let loaded = read_checkpoint(&path, &header()).unwrap();
-        let mut expected = sample_results();
-        expected[4] = None; // the torn record's fault is re-simulated
-        assert_eq!(loaded.slots, expected);
-        assert!(loaded.skipped.is_empty(), "a torn tail is not a skip warning");
-    }
-
-    #[test]
-    fn torn_but_parseable_final_line_is_still_dropped() {
-        // A truncation can leave a prefix that parses (a shortened numeric
-        // field, a clipped message). The un-terminated line is dropped no
-        // matter what, so the slot re-simulates instead of keeping a
-        // possibly-corrupt record.
-        let dir = std::env::temp_dir().join("moa-checkpoint-test-torn-parseable");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("torn.txt");
-        let results = vec![
-            Some(FaultResult {
-                status: FaultStatus::SkippedConditionC,
-                counters: Counters::new(),
-                runs: 0,
-            }),
-            None,
-            None,
-            None,
-            None,
-        ];
-        write_checkpoint(&path, &header(), &results).unwrap();
-        let mut text = std::fs::read_to_string(&path).unwrap();
-        text.push_str("fault 1 0 0 0 0 skip-c"); // valid, but no newline
-        std::fs::write(&path, text).unwrap();
-
-        let loaded = read_checkpoint(&path, &header()).unwrap();
-        assert_eq!(loaded.slots, results, "the torn line must not populate slot 1");
-    }
-
-    #[test]
-    fn fsynced_write_is_bitwise_identical_to_the_legacy_format() {
-        // The durability change (File + write_all + sync_all) must not
-        // change a single byte of the serialized form.
-        let dir = std::env::temp_dir().join("moa-checkpoint-test-fsync");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("cp.txt");
-        write_checkpoint(&path, &header(), &sample_results()).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.starts_with(MAGIC));
-        assert!(text.ends_with('\n'));
-        assert!(!path.with_extension("tmp").exists(), "temp file renamed away");
+        let e = decode_shard(&path, &with_extra_record(&valid, 0, &forced)).unwrap_err();
+        assert!(e.to_string().contains("record 5 at byte"), "{e}");
     }
 
     /// Shard 1 of 3 of a 12-fault campaign, covering faults [4, 9). The
@@ -1739,20 +1374,14 @@ mod tests {
         (header(), info)
     }
 
-    fn v2_dir(tag: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("moa-checkpoint-v2-test-{tag}"));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
-
     #[test]
-    fn v2_round_trips_unsharded_and_autodetects_on_resume() {
-        let path = v2_dir("roundtrip").join("cp.ckpt");
+    fn v2_round_trips_unsharded() {
+        let dir = TestDir::new("v2-roundtrip");
+        let path = dir.join("cp.ckpt");
         let results = sample_results();
         write_checkpoint_v2(&path, &header(), None, &results).unwrap();
         assert!(!path.with_extension("tmp").exists(), "temp file renamed away");
 
-        // The resume reader detects v2 by magic — same call as for v1.
         let loaded = read_checkpoint(&path, &header()).unwrap();
         assert_eq!(loaded.slots, results);
         assert!(loaded.skipped.is_empty());
@@ -1767,7 +1396,8 @@ mod tests {
 
     #[test]
     fn v2_shard_records_carry_global_indices() {
-        let path = v2_dir("sharded").join("shard-1.ckpt");
+        let dir = TestDir::new("v2-sharded");
+        let path = dir.join("shard-1.ckpt");
         let (local, info) = shard_fixture();
         let results = sample_results();
         write_checkpoint_v2(&path, &local, Some(&info), &results).unwrap();
@@ -1799,7 +1429,8 @@ mod tests {
 
     #[test]
     fn v2_single_bit_flip_is_caught_by_the_record_checksum() {
-        let path = v2_dir("bitflip").join("shard-1.ckpt");
+        let dir = TestDir::new("v2-bitflip");
+        let path = dir.join("shard-1.ckpt");
         let (local, info) = shard_fixture();
         let results = sample_results();
         write_checkpoint_v2(&path, &local, Some(&info), &results).unwrap();
@@ -1818,7 +1449,7 @@ mod tests {
         assert_eq!(loaded.slots, expected);
         assert_eq!(loaded.skipped.len(), 1, "{:?}", loaded.skipped);
         assert!(loaded.skipped[0].message.contains("checksum mismatch"));
-        assert_eq!(loaded.skipped[0].line, 4, "located at the record ordinal");
+        assert_eq!(loaded.skipped[0].record, 4, "located at the record ordinal");
 
         // Strict merge read: the same damage is a located hard error.
         let e = read_shard(&path).unwrap_err();
@@ -1830,7 +1461,8 @@ mod tests {
 
     #[test]
     fn v2_torn_trailer_warns_on_resume_and_fails_the_merge() {
-        let path = v2_dir("torn-trailer").join("shard-1.ckpt");
+        let dir = TestDir::new("v2-torn-trailer");
+        let path = dir.join("shard-1.ckpt");
         let (local, info) = shard_fixture();
         let results = sample_results();
         write_checkpoint_v2(&path, &local, Some(&info), &results).unwrap();
@@ -1853,7 +1485,8 @@ mod tests {
 
     #[test]
     fn v2_torn_record_drops_the_tail_on_resume_and_fails_the_merge() {
-        let path = v2_dir("torn-record").join("shard-1.ckpt");
+        let dir = TestDir::new("v2-torn-record");
+        let path = dir.join("shard-1.ckpt");
         let (local, info) = shard_fixture();
         let results = sample_results();
         write_checkpoint_v2(&path, &local, Some(&info), &results).unwrap();
@@ -1880,7 +1513,8 @@ mod tests {
 
     #[test]
     fn v2_trailer_count_mismatch_is_a_lie_the_merge_rejects() {
-        let path = v2_dir("lying-trailer").join("shard-1.ckpt");
+        let dir = TestDir::new("v2-lying-trailer");
+        let path = dir.join("shard-1.ckpt");
         let (local, info) = shard_fixture();
         write_checkpoint_v2(&path, &local, Some(&info), &sample_results()).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
@@ -1919,10 +1553,8 @@ mod tests {
                 total_faults: results.len(),
                 seq_len: 17,
             };
-            let path = v2_dir("prop").join(format!(
-                "t{:?}.ckpt",
-                std::thread::current().id()
-            ));
+            let dir = TestDir::new("v2-prop");
+            let path = dir.join("cp.ckpt");
             write_checkpoint_v2(&path, &local, Some(&info), &results).unwrap();
             let loaded = read_checkpoint_sharded(&path, &local, &info).unwrap();
             proptest::prop_assert_eq!(&loaded.slots, &results);
@@ -1935,6 +1567,78 @@ mod tests {
                     *global >= offset && *global < offset + results.len() as u64
                 );
             }
+        }
+    }
+
+    /// `true` when `e` names the file and where in it the damage is.
+    fn is_located(e: &Error, path: &Path) -> bool {
+        let text = e.to_string();
+        text.starts_with(&format!("checkpoint {}: ", path.display()))
+            && ["byte", "record", "header", "magic", "trailer"]
+                .iter()
+                .any(|word| text.contains(word))
+    }
+
+    /// Feeds one damaged file to both decoders. The lenient one must not
+    /// panic, and whatever it loads must be a record of `original` — damage
+    /// drops a record, never misreads one. The strict one must refuse the
+    /// file with a located error.
+    fn assert_damage_is_caught(
+        bytes: &[u8],
+        header: &CheckpointHeader,
+        original: &[Option<FaultResult>],
+    ) {
+        let path = Path::new("fuzz.ckpt");
+        if let Ok(load) = decode_lenient(path, bytes, header, None) {
+            for (index, (slot, want)) in load.slots.iter().zip(original).enumerate() {
+                assert!(
+                    slot.is_none() || slot == want,
+                    "slot {index} misread: {slot:?}"
+                );
+            }
+        }
+        match decode_shard(path, bytes) {
+            Ok(file) => panic!("the strict decoder accepted a damaged file: {file:?}"),
+            Err(e) => assert!(is_located(&e, path), "unlocated error: {e}"),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(8))]
+        #[test]
+        fn every_bit_flip_and_truncation_of_a_valid_file_is_caught(
+            results in proptest::collection::vec(arb_slot(), 1..6),
+        ) {
+            let header = header_for(results.len());
+            let bytes = encode_v2(&header, None, &results);
+            for len in 0..bytes.len() {
+                assert_damage_is_caught(&bytes[..len], &header, &results);
+            }
+            for bit in 0..bytes.len() * 8 {
+                let mut flipped = bytes.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                assert_damage_is_caught(&flipped, &header, &results);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+        #[test]
+        fn decoders_never_panic_on_random_bytes(
+            tail in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..256),
+            prefix in 0usize..3,
+        ) {
+            // The random tail follows nothing, the magic, or a valid header.
+            let header = header();
+            let valid = encode_v2(&header, None, &[]);
+            let mut bytes = match prefix {
+                0 => Vec::new(),
+                1 => MAGIC_V2.to_vec(),
+                _ => valid[..valid.len() - 13].to_vec(),
+            };
+            bytes.extend_from_slice(&tail);
+            assert_damage_is_caught(&bytes, &header, &[None, None, None, None, None]);
         }
     }
 

@@ -182,14 +182,14 @@ pub fn collect_pairs_metered(
     let learned = options.static_learning.then(|| cones.learned_db());
     let cache = FrameCache::new(circuit, seq, faulty, fault).with_learned(learned);
     let collection =
-        collect_pairs_with_cache(circuit, seq, good, n_out, options, &cache, Some(&cones), meter);
+        collect_pairs_with_cache(circuit, seq, good, n_out, options, &cache, &cones, meter);
     meter.perf.gate_evals += (cache.frames_built() * circuit.num_gates()) as u64;
     collection
 }
 
 /// Sweep core sharing an externally-owned [`FrameCache`] (so resimulation can
-/// reuse the forward-simulated frames) and an optional [`ConeCache`] (so
-/// campaign workers share the cone regions across faults). The caller is
+/// reuse the forward-simulated frames) and a [`ConeCache`] (so campaign
+/// workers share the cone regions across faults). The caller is
 /// responsible for folding `cache.frames_built()` into its gate-evaluation
 /// tally exactly once.
 #[allow(clippy::too_many_arguments)]
@@ -200,7 +200,7 @@ pub(crate) fn collect_pairs_with_cache(
     n_out: &[usize],
     options: &MoaOptions,
     cache: &FrameCache<'_>,
-    cones: Option<&ConeCache<'_>>,
+    cones: &ConeCache<'_>,
     meter: &mut BudgetMeter,
 ) -> Collection {
     let l = seq.len();
@@ -248,7 +248,7 @@ pub(crate) fn collect_pairs_with_cache(
                     &[(d_net, alpha)],
                     depth,
                     options.implication_rounds,
-                    cones,
+                    Some(cones),
                     &mut scratch,
                 );
                 collection.runs += runs;

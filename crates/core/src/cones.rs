@@ -107,43 +107,6 @@ impl<'a> ConeCache<'a> {
     }
 }
 
-/// Marks (in `marked`, a per-gate flag vector) the gates of
-/// `cache.state_fanout(i)` for every flip-flop index yielded by `ffs`, and
-/// returns the marked gates in topological order via `order`. Buffers are
-/// caller-owned so frame loops can reuse them.
-pub(crate) fn union_state_fanout(
-    cache: &ConeCache<'_>,
-    ffs: impl Iterator<Item = usize>,
-    marked: &mut Vec<bool>,
-    order: &mut Vec<GateId>,
-) {
-    let circuit = cache.circuit();
-    marked.clear();
-    marked.resize(circuit.num_gates(), false);
-    order.clear();
-    for ff in ffs {
-        for &gid in cache.state_fanout(ff) {
-            marked[gid.index()] = true;
-        }
-    }
-    // topo_order is a permutation of all gates; filtering it preserves
-    // topological order for the union.
-    order.extend(
-        circuit
-            .topo_order()
-            .iter()
-            .copied()
-            .filter(|&gid| marked[gid.index()]),
-    );
-}
-
-/// `true` if `net` is driven by a gate (as opposed to a primary input or a
-/// flip-flop output) — used by resimulators to decide what may be overlaid.
-#[allow(dead_code)]
-pub(crate) fn gate_driven(circuit: &Circuit, net: NetId) -> bool {
-    matches!(circuit.driver(net), Driver::Gate(_))
-}
-
 /// Cone-overlap structure over the state variables: which flip-flops'
 /// within-frame fan-out cones share logic, and which cluster of mutually
 /// overlapping cones each gate belongs to.
@@ -304,27 +267,6 @@ mod tests {
             .is_none());
         assert_eq!(cache.ff_of_d_net(d0), Some(0));
         assert_eq!(cache.ff_of_d_net(w), None);
-    }
-
-    #[test]
-    fn union_state_fanout_merges_in_topo_order() {
-        let c = c1();
-        let cache = ConeCache::new(&c);
-        let mut marked = Vec::new();
-        let mut order = Vec::new();
-        union_state_fanout(&cache, [0usize, 1].into_iter(), &mut marked, &mut order);
-        // Union of both cones covers every gate; order must match topo order.
-        let topo: Vec<GateId> = c
-            .topo_order()
-            .iter()
-            .copied()
-            .filter(|&g| marked[g.index()])
-            .collect();
-        assert_eq!(order, topo);
-        assert_eq!(order.len(), c.num_gates());
-        // Reuse with a smaller set shrinks the list.
-        union_state_fanout(&cache, std::iter::once(1usize), &mut marked, &mut order);
-        assert!(order.len() < c.num_gates());
     }
 
     #[test]

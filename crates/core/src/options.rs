@@ -57,23 +57,11 @@ pub struct MoaOptions {
     /// `u - 2` and implications continue, up to `k` frames back — the
     /// multi-time-unit extension the paper describes in Section 2.
     pub backward_time_units: usize,
-    /// Resimulate the expanded sequences with the 64-way dual-rail packed
-    /// simulator instead of one sequence at a time. Outcome-equivalent to the
-    /// scalar path (asserted by tests); the paper's `N_STATES = 64` fits one
-    /// machine word exactly.
-    pub packed_resimulation: bool,
     /// Also collect pairs at time unit `u = L` (backward implications into
     /// the final frame). The paper's Section 3.1 text restricts collection to
     /// `0 < u < L`, although its condition (C1) admits `u = L`; disabled by
     /// default for faithfulness.
     pub include_final_time_unit: bool,
-    /// Run the implication passes and resimulation restricted to the
-    /// structural cone of influence of the touched state variables, starting
-    /// each frame from cached faulty-machine values (on by default). With
-    /// `false` every engine re-evaluates whole frames in topological order —
-    /// the legacy configuration kept for A/B benchmarking; verdicts are
-    /// identical either way (locked in by parity tests).
-    pub cone_bounded: bool,
     /// Fire statically learned implications (`moa_analyze::ImplicationDb`)
     /// during the implication passes: whenever an assertion or a pass newly
     /// specifies a net, the net's learned implication list is applied (and
@@ -120,9 +108,7 @@ impl MoaOptions {
             max_implication_runs: 4096,
             check_condition_c: true,
             backward_time_units: 1,
-            packed_resimulation: false,
             include_final_time_unit: false,
-            cone_bounded: true,
             static_learning: false,
             max_frontier_states: None,
             degrade: false,

@@ -11,15 +11,14 @@ use moa_sim::{
 use crate::budget::{BudgetMeter, BudgetStage};
 use crate::certificate::DetectionCertificate;
 use crate::chain::FrameCache;
-use crate::collect::{collect_pairs_metered, collect_pairs_with_cache, PairKey};
+use crate::collect::{collect_pairs_with_cache, PairKey};
 use crate::condition::{condition_c_holds, n_out_profile, n_sv_profile};
 use crate::cones::ConeCache;
 use crate::counters::Counters;
 use crate::detect::detection_from_collection;
 use crate::error::Error;
 use crate::expand::{expand_metered, ExpandOutcome};
-use crate::resim::{resimulate_differential_metered, resimulate_metered};
-use crate::resim_packed::{resimulate_packed_differential_metered, resimulate_packed_metered};
+use crate::resim::resimulate_differential_metered;
 use crate::MoaOptions;
 
 /// How (or whether) a fault was identified as detected.
@@ -135,17 +134,6 @@ impl std::fmt::Display for DegradeStage {
             DegradeStage::ExpansionOnly => "expansion-only",
             DegradeStage::Conventional => "conventional",
         })
-    }
-}
-
-impl std::str::FromStr for DegradeStage {
-    type Err = ();
-    fn from_str(s: &str) -> Result<Self, ()> {
-        match s {
-            "expansion-only" => Ok(DegradeStage::ExpansionOnly),
-            "conventional" => Ok(DegradeStage::Conventional),
-            _ => Err(()),
-        }
     }
 }
 
@@ -635,22 +623,8 @@ fn run_expansion_stages(
 ) -> (FaultResult, Option<DetectionCertificate>) {
     // Step 1: collection.
     let started = Instant::now();
-    let collection = if options.cone_bounded {
-        collect_pairs_with_cache(circuit, seq, good, n_out, options, cache, Some(cones), meter)
-    } else {
-        // Legacy full-frame engine: a private frame cache, whole-frame
-        // implication passes (it accounts its own frame construction).
-        collect_pairs_metered(
-            circuit,
-            seq,
-            good,
-            cache.faulty(),
-            Some(fault),
-            n_out,
-            options,
-            meter,
-        )
-    };
+    let collection =
+        collect_pairs_with_cache(circuit, seq, good, n_out, options, cache, cones, meter);
     meter.perf.collect_nanos += started.elapsed().as_nanos() as u64;
     if meter.is_exhausted() {
         return (
@@ -714,25 +688,8 @@ fn run_expansion_stages(
     let total = sequences.len();
     let pre_resim = want_certificate.then(|| sequences.clone());
     let started = Instant::now();
-    let verdict = match (options.cone_bounded, options.packed_resimulation) {
-        (true, true) => resimulate_packed_differential_metered(
-            circuit,
-            seq,
-            good,
-            Some(fault),
-            cache,
-            cones,
-            &sequences,
-            meter,
-        ),
-        (true, false) => {
-            resimulate_differential_metered(circuit, seq, good, Some(fault), cache, sequences, meter)
-        }
-        (false, true) => {
-            resimulate_packed_metered(circuit, seq, good, Some(fault), &sequences, meter)
-        }
-        (false, false) => resimulate_metered(circuit, seq, good, Some(fault), sequences, meter),
-    };
+    let verdict =
+        resimulate_differential_metered(circuit, seq, good, Some(fault), cache, sequences, meter);
     meter.perf.resim_nanos += started.elapsed().as_nanos() as u64;
     if meter.is_exhausted() {
         return (
@@ -905,24 +862,116 @@ mod tests {
         assert!(certificate.is_none());
     }
 
-    #[test]
-    fn cone_bounded_and_legacy_engines_agree_on_every_fault() {
-        let (c, seq, good) = toggle();
-        for fault in moa_netlist::full_fault_list(&c) {
-            for packed in [false, true] {
-                let new = MoaOptions {
-                    packed_resimulation: packed,
-                    ..Default::default()
-                };
-                let legacy = MoaOptions {
-                    cone_bounded: false,
-                    ..new.clone()
-                };
-                let a = simulate_fault(&c, &seq, &good, &fault, &new);
-                let b = simulate_fault(&c, &seq, &good, &fault, &legacy);
-                assert_eq!(a, b, "{fault:?} packed={packed}");
+    /// The verdict the reference engines reach: whole-frame conventional
+    /// simulation, the collection sweep on a private frame cache, expansion
+    /// and the whole-frame [`crate::resimulate`].
+    fn reference_status(
+        c: &Circuit,
+        seq: &TestSequence,
+        good: &SimTrace,
+        fault: &Fault,
+        options: &MoaOptions,
+    ) -> FaultStatus {
+        use crate::{collect_pairs, expand, resimulate};
+        let faulty = simulate(c, seq, Some(fault));
+        if let Some(det) = conventional_detection(good, &faulty) {
+            return FaultStatus::DetectedConventional(det);
+        }
+        let n_sv = n_sv_profile(&faulty);
+        let n_out = n_out_profile(good, &faulty);
+        if !condition_c_holds(&n_sv[..n_out.len()], &n_out) {
+            return FaultStatus::SkippedConditionC;
+        }
+        let collection = collect_pairs(c, seq, good, &faulty, Some(fault), &n_out, options);
+        if let Some(key) = detection_from_collection(&collection) {
+            return FaultStatus::DetectedByImplications(key);
+        }
+        match expand(&collection, &faulty, &n_out, &n_sv, options) {
+            ExpandOutcome::DetectedByForcedAssignments { .. } => {
+                FaultStatus::DetectedByForcedAssignments
+            }
+            ExpandOutcome::Expanded {
+                sequences, aborted, ..
+            } => {
+                let total = sequences.len();
+                let verdict = resimulate(c, seq, good, Some(fault), sequences);
+                if verdict.detected() {
+                    FaultStatus::DetectedByExpansion { sequences: total }
+                } else {
+                    FaultStatus::NotDetected {
+                        undecided: verdict.undecided(),
+                        sequences: total,
+                        truncated: collection.truncated,
+                        aborted,
+                    }
+                }
             }
         }
+    }
+
+    /// The campaign's route — differential conventional replay, the shared
+    /// cone cache and differential resimulation — reaches the reference
+    /// engines' verdict on every fault, and every detection it certifies
+    /// audits clean and is an exact (exhaustive) detection.
+    #[test]
+    fn differential_route_agrees_with_reference_engines_on_every_fault() {
+        use crate::audit::{audit_certificate, AuditOptions};
+        use crate::exact::exact_moa_check;
+        use moa_circuits::synth::{generate, SynthSpec};
+        let mut cases = vec![toggle()];
+        for seed in [3u64, 7, 11] {
+            let c = generate(&SynthSpec::new(format!("ref{seed}"), 4, 2, 5, 50, seed));
+            let seq = moa_tpg::random_sequence(&c, 16, seed + 100);
+            let good = simulate(&c, &seq, None);
+            cases.push((c, seq, good));
+        }
+        let mut resimulated = 0;
+        for (c, seq, good) in &cases {
+            let frames = GoodFrames::compute(c, seq);
+            let cones = ConeCache::new(c);
+            for fault in moa_netlist::full_fault_list(c) {
+                for options in [MoaOptions::default(), MoaOptions::baseline()] {
+                    let (result, certificate) = simulate_fault_cached(
+                        c,
+                        seq,
+                        good,
+                        &fault,
+                        &options,
+                        Some(&frames),
+                        &cones,
+                        &mut BudgetMeter::unlimited(),
+                        true,
+                    );
+                    let reference = reference_status(c, seq, good, &fault, &options);
+                    assert_eq!(result.status, reference, "{}", fault.describe(c));
+                    if matches!(
+                        result.status,
+                        FaultStatus::DetectedByExpansion { .. } | FaultStatus::NotDetected { .. }
+                    ) {
+                        resimulated += 1;
+                    }
+                    let Some(certificate) = certificate else {
+                        continue;
+                    };
+                    let audit = audit_certificate(
+                        c,
+                        seq,
+                        good,
+                        &fault,
+                        &certificate,
+                        &AuditOptions::default(),
+                    );
+                    assert!(audit.is_confirmed(), "{}: {audit:?}", fault.describe(c));
+                    let exact = exact_moa_check(c, seq, good, &fault, 8).expect("few flip-flops");
+                    assert!(
+                        exact.is_detected(),
+                        "{} is not exactly detected",
+                        fault.describe(c)
+                    );
+                }
+            }
+        }
+        assert!(resimulated > 0, "some fault must reach resimulation");
     }
 
     #[test]

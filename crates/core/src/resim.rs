@@ -82,9 +82,8 @@ pub fn resimulate(
 /// Like [`resimulate`], charging one work unit per sequence-frame advanced
 /// against `meter` — every frame up to the one that decides the sequence
 /// counts, whether or not it is marked (only marked frames are *evaluated*;
-/// the uniform unit keeps the accounting identical to
-/// [`crate::resimulate_packed_metered`], which cannot skip unmarked frames
-/// per slot). When the meter exhausts, the remaining sequences are left
+/// the budget measures progress through the sequence, not evaluation
+/// effort). When the meter exhausts, the remaining sequences are left
 /// [`SequenceOutcome::Undecided`]; the caller must check
 /// [`BudgetMeter::is_exhausted`] and discard the partial verdict.
 pub fn resimulate_metered(
@@ -205,7 +204,7 @@ fn resimulate_one(
         fail_hit!("fp/resim.frame", meter);
         // One unit per frame advanced, marked or not: the budget measures
         // progress through the sequence, not evaluation effort, so the
-        // scalar and packed paths exhaust at identical work counts.
+        // full-frame and differential paths exhaust at identical work counts.
         if !meter.charge(1) {
             return SequenceOutcome::Undecided;
         }

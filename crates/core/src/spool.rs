@@ -129,9 +129,7 @@ impl JobSpec {
         out.push_str(&format!("opt max_implication_runs {}\n", m.max_implication_runs));
         out.push_str(&format!("opt check_condition_c {}\n", m.check_condition_c));
         out.push_str(&format!("opt backward_time_units {}\n", m.backward_time_units));
-        out.push_str(&format!("opt packed_resimulation {}\n", m.packed_resimulation));
         out.push_str(&format!("opt include_final_time_unit {}\n", m.include_final_time_unit));
-        out.push_str(&format!("opt cone_bounded {}\n", m.cone_bounded));
         out.push_str(&format!("opt static_learning {}\n", m.static_learning));
         if let Some(states) = m.max_frontier_states {
             out.push_str(&format!("opt max_frontier_states {states}\n"));
@@ -139,7 +137,6 @@ impl JobSpec {
         out.push_str(&format!("opt degrade {}\n", m.degrade));
         out.push_str(&format!("opt degrade_adaptive {}\n", m.degrade_adaptive));
         out.push_str(&format!("opt threads {}\n", o.threads));
-        out.push_str(&format!("opt differential {}\n", o.differential));
         out.push_str(&format!("opt screen {}\n", o.screen));
         out.push_str(&format!("opt prune_untestable {}\n", o.prune_untestable));
         out.push_str(&format!("opt collapse {}\n", o.collapse));
@@ -241,15 +238,18 @@ fn apply_option(options: &mut CampaignOptions, key: &str, value: &str) -> Result
         "max_implication_runs" => m.max_implication_runs = num(key, value)?,
         "check_condition_c" => m.check_condition_c = flag(key, value)?,
         "backward_time_units" => m.backward_time_units = num(key, value)?,
-        "packed_resimulation" => m.packed_resimulation = flag(key, value)?,
         "include_final_time_unit" => m.include_final_time_unit = flag(key, value)?,
-        "cone_bounded" => m.cone_bounded = flag(key, value)?,
         "static_learning" => m.static_learning = flag(key, value)?,
         "max_frontier_states" => m.max_frontier_states = Some(num(key, value)?),
         "degrade" => m.degrade = flag(key, value)?,
         "degrade_adaptive" => m.degrade_adaptive = flag(key, value)?,
         "threads" => options.threads = num(key, value)?,
-        "differential" => options.differential = flag(key, value)?,
+        // Engine knobs retired since older specs were written: still
+        // validated (specs are untrusted input), otherwise ignored — they
+        // never changed a verdict or the request hash.
+        "packed_resimulation" | "cone_bounded" | "differential" => {
+            flag(key, value)?;
+        }
         "screen" => options.screen = flag(key, value)?,
         "prune_untestable" => options.prune_untestable = flag(key, value)?,
         "collapse" => options.collapse = flag(key, value)?,
@@ -642,6 +642,62 @@ mod tests {
         );
         let err = JobSpec::new(TOGGLE, "00\n", CampaignOptions::new()).unwrap_err();
         assert!(err.to_string().contains("primary inputs"), "{err}");
+    }
+
+    /// A spec as written before the engine knobs were retired: it still
+    /// carries `opt packed_resimulation`, `opt cone_bounded` and
+    /// `opt differential`.
+    const LEGACY_SPEC: &str = "moa-job-spec v1\nbench 69\nINPUT(r)\nOUTPUT(z)\n\
+        q = DFF(d)\nnq = NOT(q)\nd = AND(r, nq)\nz = BUFF(q)\nseq 6\n0\n0\n0\nfaults full\n\
+        opt n_states 64\nopt backward_implications true\nopt implication_rounds 1\n\
+        opt max_implication_runs 4096\nopt check_condition_c true\n\
+        opt backward_time_units 1\nopt packed_resimulation false\n\
+        opt include_final_time_unit false\nopt cone_bounded true\n\
+        opt static_learning false\nopt degrade false\nopt degrade_adaptive false\n\
+        opt threads 0\nopt differential false\nopt screen true\n\
+        opt prune_untestable false\nopt collapse false\nopt order natural\n\
+        opt isolate_panics true\nopt worker_retries 2\nopt checkpoint_every 64\nend\n";
+
+    #[test]
+    fn legacy_engine_options_parse_and_are_ignored() {
+        // The request hash that spec had when it was written.
+        const LEGACY_HASH: &str = "2dfd90ad925f196e1251f7300abb9271";
+        let without: String = LEGACY_SPEC
+            .split_inclusive('\n')
+            .filter(|l| {
+                !["packed_resimulation", "cone_bounded", "differential"]
+                    .iter()
+                    .any(|key| l.starts_with(&format!("opt {key} ")))
+            })
+            .collect();
+        let legacy = JobSpec::parse(LEGACY_SPEC).expect("a legacy spec still parses");
+        let plain = JobSpec::parse(&without).expect("parse");
+        assert_eq!(legacy.hash(), plain.hash());
+        assert_eq!(legacy.hash().to_string(), LEGACY_HASH);
+        assert_eq!(legacy.hash(), spec().hash());
+        assert_eq!(
+            legacy.to_text(),
+            without,
+            "the retired lines are not written back"
+        );
+        // Any value the retired knobs could take is ignored ...
+        let flipped = LEGACY_SPEC
+            .replace(
+                "opt packed_resimulation false",
+                "opt packed_resimulation true",
+            )
+            .replace("opt cone_bounded true", "opt cone_bounded false")
+            .replace("opt differential false", "opt differential true");
+        assert_eq!(
+            JobSpec::parse(&flipped).expect("parse").hash(),
+            plain.hash()
+        );
+        // ... but a spec is untrusted input: a malformed bool still fails.
+        for key in ["packed_resimulation", "cone_bounded", "differential"] {
+            let bad = LEGACY_SPEC.replace(&format!("opt {key} "), &format!("opt {key} maybe"));
+            let err = JobSpec::parse(&bad).unwrap_err();
+            assert!(err.to_string().contains("bad bool"), "{key}: {err}");
+        }
     }
 
     #[test]

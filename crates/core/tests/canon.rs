@@ -111,10 +111,7 @@ proptest! {
     fn verdict_neutral_knobs_never_move_the_hash(
         seed in 0u64..1000,
         threads in 1usize..9,
-        packed in any::<bool>(),
-        differential in any::<bool>(),
         screen in any::<bool>(),
-        cone in any::<bool>(),
     ) {
         let c = circuit(seed);
         let seq = random_sequence(&c, 4, seed);
@@ -122,10 +119,7 @@ proptest! {
         let base = request_hash(&c, &seq, &faults, &CampaignOptions::new());
         let mut tweaked = CampaignOptions::new();
         tweaked.threads = threads;
-        tweaked.moa.packed_resimulation = packed;
-        tweaked.differential = differential;
         tweaked.screen = screen;
-        tweaked.moa.cone_bounded = cone;
         prop_assert_eq!(base, request_hash(&c, &seq, &faults, &tweaked));
     }
 

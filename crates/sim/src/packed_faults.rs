@@ -1,8 +1,7 @@
 //! Parallel-fault screening: one *distinct* fault per bit lane.
 //!
-//! [`packed3`](crate::packed3) injects a single fault into all slots of a
-//! word (many scenarios, one faulty machine). This module is the transpose:
-//! each bit lane carries a *different* faulty machine under the *same* input
+//! Built on the dual-rail algebra of [`packed3`](crate::packed3): each bit
+//! lane carries a *different* faulty machine under the *same* input
 //! sequence and the same all-`X` initial state, so one pass over the sequence
 //! conventionally screens a whole word of faults at the cost of roughly one
 //! scalar simulation. The campaign uses it as a pre-pass that detects and
@@ -256,8 +255,7 @@ impl<W: Word> FaultBatch<W> {
     /// caller-owned scratch frame (reset here — callers only provide the
     /// allocation).
     ///
-    /// Mirrors [`run_packed3_frame`](crate::run_packed3_frame) /
-    /// [`compute_frame`](crate::compute_frame): primary inputs are broadcast
+    /// Mirrors [`compute_frame`](crate::compute_frame): primary inputs are broadcast
     /// from `pattern`, present state comes from `present_state` per lane, and
     /// every net write passes through that net's stem mask.
     ///
@@ -553,7 +551,7 @@ mod tests {
     use super::*;
     use crate::conventional::conventional_detection;
     use crate::trace::simulate;
-    use moa_netlist::{full_fault_list, CircuitBuilder};
+    use moa_netlist::{full_fault_list, CircuitBuilder, FlipFlopId};
 
     fn c1() -> Circuit {
         let mut b = CircuitBuilder::new("c1");
@@ -648,6 +646,70 @@ mod tests {
         for (fault, packed) in faults.iter().zip(&outcome.detections) {
             let faulty = simulate(&c, &seq, Some(fault));
             assert_eq!(*packed, conventional_detection(&good, &faulty));
+        }
+    }
+
+    /// Packs the nine combinations of two three-valued state variables into
+    /// lanes `0..9` (lane `k` holds `(vals[k % 3], vals[k / 3])`).
+    fn nine_state_lanes() -> [PackedV3<u64>; 2] {
+        let vals = [V3::Zero, V3::One, V3::X];
+        let mut s0 = PackedV3::ALL_X;
+        let mut s1 = PackedV3::ALL_X;
+        for lane in 0..9u32 {
+            s0.set(lane, vals[(lane % 3) as usize]);
+            s1.set(lane, vals[(lane / 3) as usize]);
+        }
+        [s0, s1]
+    }
+
+    /// One frame of the kernel agrees lane by lane with the scalar
+    /// three-valued simulator on every net and next-state variable, for all
+    /// nine mixed-ternary present states, with no fault and with the same
+    /// stem, branch or flip-flop-input fault in every lane.
+    #[test]
+    fn frame_agrees_with_scalar_on_mixed_ternary_states() {
+        use crate::frame::{compute_frame, frame_next_state};
+        let c = c1();
+        let vals = [V3::Zero, V3::One, V3::X];
+        let nand = moa_netlist::GateId::new(
+            c.gates()
+                .iter()
+                .position(|g| g.kind() == GateKind::Nand)
+                .unwrap(),
+        );
+        let faults = [
+            None,
+            Some(Fault::stem(c.find_net("w").unwrap(), true)),
+            Some(Fault::stem(c.find_net("a").unwrap(), false)),
+            Some(Fault::gate_input(nand, 1, true)),
+            Some(Fault::flip_flop_input(FlipFlopId::new(1), false)),
+        ];
+        let state = nine_state_lanes();
+        for pattern in [[V3::One, V3::Zero], [V3::X, V3::One], [V3::One, V3::X]] {
+            for fault in &faults {
+                let lanes: Vec<Fault> = fault.iter().copied().cycle().take(9).collect();
+                let batch = FaultBatch::<u64>::new(&c, &lanes);
+                let frame = batch.run_frame(&c, &pattern, &state);
+                let mut next = [PackedV3::ALL_X; 2];
+                batch.next_state_into(&c, &frame, &mut next);
+                for lane in 0..9u32 {
+                    let st = [vals[(lane % 3) as usize], vals[(lane / 3) as usize]];
+                    let scalar = compute_frame(&c, &pattern, &st, fault.as_ref());
+                    for net in c.net_ids() {
+                        let v = frame.get(net);
+                        assert_eq!(v.ones & v.zeros, 0, "dual-rail invariant");
+                        assert_eq!(v.get(lane), scalar[net], "{fault:?} lane {lane}");
+                    }
+                    let scalar_next = frame_next_state(&c, &scalar, fault.as_ref());
+                    for (k, p) in next.iter().enumerate() {
+                        assert_eq!(
+                            p.get(lane),
+                            scalar_next[k],
+                            "{fault:?} lane {lane} next {k}"
+                        );
+                    }
+                }
+            }
         }
     }
 

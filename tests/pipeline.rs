@@ -5,7 +5,7 @@ use moa_repro::circuits::suite::{entry, suite};
 use moa_repro::circuits::synth::{generate, SynthSpec};
 use moa_repro::circuits::teaching::resettable_toggle;
 use moa_repro::core::{
-    run_campaign, simulate_fault, CampaignOptions, FaultStatus, MoaOptions,
+    run_campaign, simulate_fault, CampaignAudit, CampaignOptions, FaultStatus, MoaOptions,
 };
 use moa_repro::netlist::{collapse_faults, full_fault_list};
 use moa_repro::sim::{simulate, TestSequence};
@@ -181,52 +181,40 @@ fn include_final_time_unit_only_adds_detections() {
     assert!(with_final.detected_total() >= base.detected_total());
 }
 
-#[test]
-fn packed_and_scalar_resimulation_agree_campaign_wide() {
-    for seed in [3u64, 7, 11] {
-        let circuit = generate(&SynthSpec::new(format!("pk{seed}"), 5, 3, 7, 70, seed));
-        let seq = random_sequence(&circuit, 32, seed + 100);
-        let faults = collapse_faults(&circuit, &full_fault_list(&circuit))
-            .representatives()
-            .to_vec();
-        let scalar = run_campaign(&circuit, &seq, &faults, &CampaignOptions::new());
-        let packed = run_campaign(
-            &circuit,
-            &seq,
-            &faults,
-            &CampaignOptions {
-                moa: MoaOptions {
-                    packed_resimulation: true,
-                    ..Default::default()
-                },
-                threads: 1,
-                ..Default::default()
-            },
-        );
-        assert_eq!(scalar.statuses, packed.statuses, "seed {seed}");
-    }
-}
-
+/// The campaign replays each fault's conventional stage as deltas from
+/// cached fault-free frames; `simulate_fault` (no frames) replays it in
+/// full. With the screen off every fault takes that replay, and the two
+/// must agree on every verdict — and the audited campaign must stay clean.
 #[test]
 fn differential_and_full_conventional_agree_campaign_wide() {
     for seed in [5u64, 13] {
         let circuit = generate(&SynthSpec::new(format!("df{seed}"), 5, 3, 7, 70, seed));
         let seq = random_sequence(&circuit, 32, seed + 200);
+        let good = simulate(&circuit, &seq, None);
         let faults = collapse_faults(&circuit, &full_fault_list(&circuit))
             .representatives()
             .to_vec();
-        let full = run_campaign(&circuit, &seq, &faults, &CampaignOptions::new());
         let differential = run_campaign(
             &circuit,
             &seq,
             &faults,
             &CampaignOptions {
-                differential: true,
+                screen: false,
+                audit: Some(CampaignAudit::default()),
                 threads: 1,
                 ..Default::default()
             },
         );
-        assert_eq!(full.statuses, differential.statuses, "seed {seed}");
+        assert_eq!(differential.audit_failed, 0, "seed {seed}");
+        for (fault, status) in faults.iter().zip(&differential.statuses) {
+            let full = simulate_fault(&circuit, &seq, &good, fault, &MoaOptions::default());
+            assert_eq!(
+                &full.status,
+                status,
+                "seed {seed}: {}",
+                fault.describe(&circuit)
+            );
+        }
     }
 }
 

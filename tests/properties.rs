@@ -14,9 +14,8 @@ use moa_repro::netlist::{
     write_bench, Circuit, Fault,
 };
 use moa_repro::sim::{
-    compute_frame, conventional_detection, packed3_next_state, packed_next_state,
-    run_packed3_frame, run_packed_frame, simulate, simulate_differential, GoodFrames, Packed3,
-    TestSequence,
+    compute_frame, conventional_detection, packed_next_state, run_packed_frame, simulate,
+    simulate_differential, FaultBatch, GoodFrames, Packed3, TestSequence,
 };
 use moa_repro::tpg::random_sequence;
 
@@ -197,9 +196,10 @@ proptest! {
         }
     }
 
-    /// The dual-rail packed simulator agrees with the scalar three-valued
-    /// simulator slot by slot, for random circuits, random mixed-ternary
-    /// states and random faults.
+    /// The dual-rail packed frame evaluator of the screening kernel agrees
+    /// with the scalar three-valued simulator slot by slot, for random
+    /// circuits, random mixed-ternary states and random faults (the same
+    /// fault in every slot).
     #[test]
     fn packed3_agrees_with_scalar(
         spec in arb_spec(),
@@ -227,8 +227,10 @@ proptest! {
             .collect();
         let net = moa_repro::netlist::NetId::new((fault_choice as usize) % c.num_nets());
         let fault = Fault::stem(net, stuck);
-        let frame = run_packed3_frame(&c, &pattern, &packed_state, Some(&fault));
-        let next = packed3_next_state(&c, &frame, Some(&fault));
+        let batch = FaultBatch::<u64>::new(&c, &vec![fault; slots as usize]);
+        let frame = batch.run_frame(&c, &pattern, &packed_state);
+        let mut next = vec![Packed3::ALL_X; k];
+        batch.next_state_into(&c, &frame, &mut next);
         for (s, st) in states.iter().enumerate() {
             let scalar = compute_frame(&c, &pattern, st, Some(&fault));
             for net in c.net_ids() {
