@@ -1,6 +1,6 @@
 //! Throughput of the three-valued simulation substrate: good-machine
-//! simulation, conventional per-fault simulation, and the 64-way packed
-//! binary simulator (the baseline costs every experiment pays per fault).
+//! simulation, conventional per-fault simulation, and the 64-way two-valued
+//! replay kernel (the baseline costs every experiment pays per fault).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
@@ -8,7 +8,7 @@ use std::hint::black_box;
 use moa_circuits::iscas::s27;
 use moa_circuits::synth::{generate, SynthSpec};
 use moa_netlist::{full_fault_list, Fault};
-use moa_sim::{run_packed_frame, simulate, TestSequence};
+use moa_sim::{simulate, BinaryReplay, PackedValues, TestSequence};
 use moa_tpg::random_sequence;
 
 fn bench_good_simulation(c: &mut Criterion) {
@@ -116,10 +116,15 @@ fn bench_packed_frame(c: &mut Criterion) {
         .map(|i| 0xAAAA_5555_u64.rotate_left(i as u32))
         .collect();
     let fault = Fault::stem(circuit.inputs()[0], true);
+    let replay = BinaryReplay::new(&circuit, Some(&fault));
+    let mut values = PackedValues::new(&circuit);
     group.bench_function("synth200_64way", |b| {
         b.iter_batched(
-            || (pattern.clone(), state.clone()),
-            |(p, s)| black_box(run_packed_frame(&circuit, &p, &s, Some(&fault))),
+            || state.clone(),
+            |mut s| {
+                replay.step(&circuit, &pattern, &mut s, &mut values);
+                black_box(s)
+            },
             BatchSize::SmallInput,
         );
     });

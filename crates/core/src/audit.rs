@@ -2,8 +2,8 @@
 //!
 //! [`audit_certificate`] validates a [`DetectionCertificate`] against the
 //! ground truth: it enumerates *every* binary initial state of the faulty
-//! machine (64 at a time, through the bit-parallel two-valued simulator) and
-//! checks, per behaviour, that
+//! machine (64 at a time, through the two-valued replay kernel
+//! [`BinaryReplay`]) and checks, per behaviour, that
 //!
 //! 1. no behaviour satisfies an [`ClaimKind::Infeasible`] cube (a concrete
 //!    witness refutes the infeasibility outright),
@@ -17,8 +17,18 @@
 //! proves every binary behaviour of the faulty machine mismatches the
 //! fault-free trace at a specified position — exactly restricted-MOA
 //! detection, independently of all symbolic reasoning. The audit never
-//! trusts the implication engine; it only trusts the packed two-valued
-//! simulator and the fault-free trace.
+//! trusts the implication engine; it only trusts the two-valued replay
+//! kernel and the fault-free trace.
+//!
+//! # Replay horizon
+//!
+//! Only frames `0..H` are replayed, where `H` is the largest time unit any
+//! claim reads: `time + 1` for an observation at `time`, `u` for an
+//! assignment at `u`. Replay is causal — frame `u` writes the outputs of
+//! time `u` and the state of time `u + 1` — so frames from `H` on cannot
+//! change any cube or observation, and every verdict (witness index
+//! included) equals that of a full-length replay. A conventional
+//! certificate with its one observation at time `t` costs `t + 1` frames.
 //!
 //! # Bounds and `Inconclusive`
 //!
@@ -30,8 +40,8 @@
 //! explicitly *not* a confirmation. Only [`AuditStatus::Refuted`] indicates
 //! unsoundness.
 
-use moa_netlist::{Circuit, Fault};
-use moa_sim::{packed_next_state, packed_outputs, run_packed_frame, SimTrace, TestSequence};
+use moa_netlist::{Circuit, Fault, NetId};
+use moa_sim::{BinaryReplay, PackedValues, SimTrace, TestSequence};
 
 use crate::certificate::{ClaimKind, DetectionCertificate};
 
@@ -205,20 +215,55 @@ pub fn audit_certificate(
         }
     }
 
+    // Index the claims by time unit once. The assignments at `u` are checked
+    // against the state frame `u` starts from, the observations at `u`
+    // against its outputs. The horizon `H` is the latest time unit any
+    // claim reads (`time + 1` for an observation), so only frames `0..H`
+    // are replayed and the assignments at `H` apply to the state the last
+    // replayed frame leaves behind.
+    let horizon = certificate
+        .claims
+        .iter()
+        .map(|claim| {
+            let cube = claim.assignments.iter().map(|&(u, _, _)| u).max().unwrap_or(0);
+            match claim.kind {
+                ClaimKind::Observation { time, .. } => cube.max(time + 1),
+                ClaimKind::Infeasible { .. } => cube,
+            }
+        })
+        .max()
+        .unwrap_or(0);
+    let mut assigned_at: Vec<Vec<(usize, usize, bool)>> = vec![Vec::new(); horizon + 1];
+    let mut observed_at: Vec<Vec<(usize, NetId, bool)>> = vec![Vec::new(); horizon];
+    for (c, claim) in certificate.claims.iter().enumerate() {
+        for &(u, i, value) in &claim.assignments {
+            assigned_at[u].push((c, i, value));
+        }
+        if let ClaimKind::Observation {
+            time,
+            output,
+            value,
+        } = claim.kind
+        {
+            observed_at[time].push((c, circuit.outputs()[output], value));
+        }
+    }
     let patterns: Vec<Vec<bool>> = seq
         .iter()
+        .take(horizon)
         .map(|p| p.iter().filter_map(|v| v.to_bool()).collect())
         .collect();
 
-    // Per-claim assignments indexed by time unit, so each frame is checked
-    // in one pass while the replay state is at hand.
-    let mut at_time: Vec<Vec<(usize, usize, bool)>> = vec![Vec::new(); l + 1];
-    for (c, claim) in certificate.claims.iter().enumerate() {
-        for &(u, i, value) in &claim.assignments {
-            at_time[u].push((c, i, value));
-        }
-    }
     let num_claims = certificate.claims.len();
+    let replay = BinaryReplay::new(circuit, Some(fault));
+    let mut values = PackedValues::new(circuit);
+    let mut state = vec![0u64; k];
+    // cube[c]: slots whose trajectory satisfies claim c's assignments so
+    // far. holds[c]: slots where claim c's observation comes out as claimed
+    // (meaningful for Observation claims only).
+    let mut cube = vec![u64::MAX; num_claims];
+    let mut holds = vec![0u64; num_claims];
+    let literal = |word: u64, value: bool| if value { word } else { !word };
 
     let total: u64 = 1u64 << k;
     let mut base = 0u64;
@@ -226,46 +271,21 @@ pub fn audit_certificate(
         let batch = (total - base).min(64) as u32;
         let valid: u64 = if batch == 64 { u64::MAX } else { (1u64 << batch) - 1 };
         // Slot s replays initial state index base + s.
-        let mut state: Vec<u64> = (0..k)
-            .map(|i| {
-                let mut word = 0u64;
-                for s in 0..u64::from(batch) {
-                    if (base + s) >> i & 1 == 1 {
-                        word |= 1 << s;
-                    }
-                }
-                word
-            })
-            .collect();
-
-        // cube[c]: slots whose trajectory satisfies claim c's assignments so
-        // far. holds[c]: slots where claim c's observation comes out as
-        // claimed (meaningful for Observation claims only).
-        let mut cube = vec![u64::MAX; num_claims];
-        let mut holds = vec![0u64; num_claims];
+        BinaryReplay::load_initial_states(base, &mut state);
+        cube.fill(u64::MAX);
+        holds.fill(0);
 
         for (u, pattern) in patterns.iter().enumerate() {
-            for &(c, i, value) in &at_time[u] {
-                cube[c] &= if value { state[i] } else { !state[i] };
+            for &(c, i, value) in &assigned_at[u] {
+                cube[c] &= literal(state[i], value);
             }
-            let frame = run_packed_frame(circuit, pattern, &state, Some(fault));
-            let outs = packed_outputs(circuit, &frame);
-            for (c, claim) in certificate.claims.iter().enumerate() {
-                if let ClaimKind::Observation {
-                    time,
-                    output,
-                    value,
-                } = claim.kind
-                {
-                    if time == u {
-                        holds[c] = if value { outs[output] } else { !outs[output] };
-                    }
-                }
+            replay.step(circuit, pattern, &mut state, &mut values);
+            for &(c, net, value) in &observed_at[u] {
+                holds[c] = literal(values[net], value);
             }
-            state = packed_next_state(circuit, &frame, Some(fault));
         }
-        for &(c, i, value) in &at_time[l] {
-            cube[c] &= if value { state[i] } else { !state[i] };
+        for &(c, i, value) in &assigned_at[horizon] {
+            cube[c] &= literal(state[i], value);
         }
 
         let mut infeasible_hit = 0u64;
@@ -476,6 +496,189 @@ mod tests {
             },
         );
         assert!(matches!(status, AuditStatus::Inconclusive { .. }));
+    }
+
+    fn refuted_reason(status: AuditStatus) -> String {
+        match status {
+            AuditStatus::Refuted { reason } => reason,
+            other => panic!("expected a refutation, got {other:?}"),
+        }
+    }
+
+    fn observation(assignments: Vec<(usize, usize, bool)>, time: usize) -> CertificateClaim {
+        CertificateClaim {
+            assignments,
+            kind: ClaimKind::Observation {
+                time,
+                output: 0,
+                value: true,
+            },
+        }
+    }
+
+    fn expansion(claims: Vec<CertificateClaim>) -> DetectionCertificate {
+        DetectionCertificate {
+            source: CertificateSource::Expansion,
+            claims,
+        }
+    }
+
+    #[test]
+    fn assignments_at_the_final_state_are_applied_after_the_last_frame() {
+        // Under the fault q toggles every frame: from q=0 the states are
+        // 0,1,0,1 and z = 0,1,0; from q=1 they are 1,0,1,0 and z = 1,0,1.
+        // Cubes on the final state (u = L = 3) pick the behaviours.
+        let (c, seq, good, fault) = toggle();
+        let cert = expansion(vec![
+            observation(vec![(3, 0, true)], 1),
+            observation(vec![(3, 0, false)], 2),
+        ]);
+        let options = AuditOptions::default();
+        assert_eq!(
+            audit_certificate(&c, &seq, &good, &fault, &cert, &options),
+            AuditStatus::Confirmed { states_checked: 2 }
+        );
+        // Swapped final-state cubes lie about the behaviour from q=0.
+        let cert = expansion(vec![
+            observation(vec![(3, 0, false)], 1),
+            observation(vec![(3, 0, true)], 2),
+        ]);
+        let reason = refuted_reason(audit_certificate(&c, &seq, &good, &fault, &cert, &options));
+        assert!(reason.starts_with("initial state 0 satisfies"), "{reason}");
+    }
+
+    #[test]
+    fn observation_at_the_last_frame_is_replayed() {
+        // toggle_certificate's second claim observes time L - 1 = 2.
+        let (c, seq, good, fault) = toggle();
+        let options = AuditOptions::default();
+        assert!(
+            audit_certificate(&c, &seq, &good, &fault, &toggle_certificate(), &options)
+                .is_confirmed()
+        );
+        let mut cert = toggle_certificate();
+        cert.claims[1].assignments = vec![(0, 0, false)];
+        // q=0 shows z = 0 at time 2: the lowest bad state violates the
+        // time-2 claim.
+        let reason = refuted_reason(audit_certificate(&c, &seq, &good, &fault, &cert, &options));
+        assert!(reason.starts_with("initial state 0 satisfies"), "{reason}");
+    }
+
+    /// z = BUF(a) beside a held flip-flop: the fault-free z is 1 at every
+    /// time unit under an all-ones sequence.
+    fn through() -> (Circuit, TestSequence, SimTrace) {
+        let mut b = CircuitBuilder::new("through");
+        b.add_input("a").unwrap();
+        b.add_flip_flop("q", "d").unwrap();
+        b.add_gate(GateKind::And, "d", &["a", "q"]).unwrap();
+        b.add_gate(GateKind::Buf, "z", &["a"]).unwrap();
+        b.add_output("z");
+        let c = b.finish().unwrap();
+        let seq = TestSequence::from_words(&["1", "1", "1"]).unwrap();
+        let good = simulate(&c, &seq, None);
+        (c, seq, good)
+    }
+
+    #[test]
+    fn conventional_claim_at_time_zero_replays_one_frame() {
+        let (c, seq, good) = through();
+        let cert = DetectionCertificate::conventional(
+            &moa_sim::Detection { time: 0, output: 0 },
+            &good,
+        );
+        let options = AuditOptions::default();
+        let a_stuck = Fault::stem(c.find_net("a").unwrap(), false);
+        assert_eq!(
+            audit_certificate(&c, &seq, &good, &a_stuck, &cert, &options),
+            AuditStatus::Confirmed { states_checked: 2 }
+        );
+        // A fault that leaves z alone: frame 0 must still be replayed and
+        // read, and refutes the claim for every state.
+        let d_stuck = Fault::stem(c.find_net("d").unwrap(), false);
+        let reason =
+            refuted_reason(audit_certificate(&c, &seq, &good, &d_stuck, &cert, &options));
+        assert!(reason.starts_with("initial state 0 satisfies"), "{reason}");
+    }
+
+    #[test]
+    fn claims_touching_only_time_zero() {
+        let (c, seq, good) = through();
+        let fault = Fault::stem(c.find_net("a").unwrap(), false);
+        let options = AuditOptions::default();
+        let zero = |assignments| CertificateClaim {
+            assignments,
+            kind: ClaimKind::Observation {
+                time: 0,
+                output: 0,
+                value: false,
+            },
+        };
+        let cert = expansion(vec![zero(vec![(0, 0, false)]), zero(vec![(0, 0, true)])]);
+        assert!(audit_certificate(&c, &seq, &good, &fault, &cert, &options).is_confirmed());
+        // No observation at all: horizon 0, no frame replayed. The cube on
+        // the initial state still finds its witness.
+        let infeasible = |assignments| CertificateClaim {
+            assignments,
+            kind: ClaimKind::Infeasible { time: 0 },
+        };
+        let cert = expansion(vec![infeasible(vec![(0, 0, true)])]);
+        let reason = refuted_reason(audit_certificate(&c, &seq, &good, &fault, &cert, &options));
+        assert_eq!(reason, "initial state 0 is not covered by any observation claim");
+        let cert = expansion(vec![
+            zero(vec![(0, 0, false)]),
+            infeasible(vec![(0, 0, true)]),
+        ]);
+        let reason = refuted_reason(audit_certificate(&c, &seq, &good, &fault, &cert, &options));
+        assert_eq!(
+            reason,
+            "initial state 1 is a concrete witness for an infeasibility claim"
+        );
+    }
+
+    #[test]
+    fn lowest_witness_in_a_later_batch_is_reported() {
+        // 7 held flip-flops → 128 initial states, two 64-slot batches. z
+        // stuck-at-1 mismatches the fault-free z = 0 at time 1 from every
+        // state, so only the forged claims can fail, and only from state 64
+        // on (q6 = 1).
+        let mut b = CircuitBuilder::new("wide");
+        b.add_input("r").unwrap();
+        let mut terms = Vec::new();
+        for i in 0..7 {
+            let (q, d) = (format!("q{i}"), format!("d{i}"));
+            b.add_flip_flop(&q, &d).unwrap();
+            b.add_gate(GateKind::And, &d, &["r", &q]).unwrap();
+            terms.push(q);
+        }
+        let refs: Vec<&str> = terms.iter().map(String::as_str).collect();
+        b.add_gate(GateKind::Or, "z", &refs).unwrap();
+        b.add_output("z");
+        let c = b.finish().unwrap();
+        let seq = TestSequence::from_words(&["0", "0"]).unwrap();
+        let good = simulate(&c, &seq, None);
+        let fault = Fault::stem(c.find_net("z").unwrap(), true);
+        let options = AuditOptions::default();
+
+        let cert = expansion(vec![observation(Vec::new(), 1)]);
+        assert_eq!(
+            audit_certificate(&c, &seq, &good, &fault, &cert, &options),
+            AuditStatus::Confirmed { states_checked: 128 }
+        );
+        let cert = expansion(vec![observation(vec![(0, 6, false)], 1)]);
+        let reason = refuted_reason(audit_certificate(&c, &seq, &good, &fault, &cert, &options));
+        assert_eq!(reason, "initial state 64 is not covered by any observation claim");
+        let cert = expansion(vec![
+            observation(Vec::new(), 1),
+            CertificateClaim {
+                assignments: vec![(0, 6, true), (0, 0, true)],
+                kind: ClaimKind::Infeasible { time: 1 },
+            },
+        ]);
+        let reason = refuted_reason(audit_certificate(&c, &seq, &good, &fault, &cert, &options));
+        assert_eq!(
+            reason,
+            "initial state 65 is a concrete witness for an infeasibility claim"
+        );
     }
 
     #[test]

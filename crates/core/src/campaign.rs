@@ -805,7 +805,9 @@ fn run_all(
         {
             if let FaultStatus::DetectedConventional(det) = &result.status {
                 let cert = DetectionCertificate::conventional(det, good);
-                apply_audit(circuit, seq, good, &faults[i], &mut result, Some(&cert), audit);
+                apply_audit(
+                    circuit, seq, good, &faults[i], &mut result, Some(&cert), audit, perf,
+                );
                 report.audited += 1;
             }
         }
@@ -1002,11 +1004,14 @@ fn run_batch(
                     counters: Counters::new(),
                     runs: 0,
                 };
+                let mut perf = PerfCounters::new();
                 if let Some(audit) = audit {
                     let cert = DetectionCertificate::conventional(&det, good);
-                    apply_audit(circuit, seq, good, fault, &mut result, Some(&cert), audit);
+                    apply_audit(
+                        circuit, seq, good, fault, &mut result, Some(&cert), audit, &mut perf,
+                    );
                 }
-                return (result, PerfCounters::new());
+                return (result, perf);
             }
             let mut meter = BudgetMeter::new(&options.budget);
             if let Some(stats) = ladder {
@@ -1032,6 +1037,7 @@ fn run_batch(
                     &mut result,
                     certificate.as_ref(),
                     audit,
+                    &mut meter.perf,
                 );
             }
             (result, meter.perf)
@@ -1098,7 +1104,11 @@ fn run_batch(
                     std::thread::sleep(std::time::Duration::from_millis(2 * attempt as u64));
                 }
                 let cells = &cells;
+                #[cfg(feature = "failpoints")]
+                let chaos_scope = crate::failpoint::Scope::current();
                 let worker = move || {
+                    #[cfg(feature = "failpoints")]
+                    chaos_scope.enter();
                     for (k, &index) in indices.iter().enumerate() {
                         let cell = &cells[offset + k];
                         let done = cell
@@ -1178,7 +1188,9 @@ fn run_batch(
 /// Audits a detected fault's certificate by concrete replay and quarantines
 /// the detection as [`FaultStatus::AuditFailed`] when the audit refutes it.
 /// Shared between the screening short-circuit and the full pipeline so both
-/// paths treat a refutation identically.
+/// paths treat a refutation identically; the replay time goes to
+/// `perf.audit_nanos`.
+#[allow(clippy::too_many_arguments)]
 fn apply_audit(
     circuit: &Circuit,
     seq: &TestSequence,
@@ -1187,16 +1199,19 @@ fn apply_audit(
     result: &mut FaultResult,
     certificate: Option<&DetectionCertificate>,
     audit: &CampaignAudit,
+    perf: &mut PerfCounters,
 ) {
     if !result.status.is_detected() {
         return;
     }
+    let started = Instant::now();
     let status = match certificate {
         Some(cert) => audit_certificate(circuit, seq, good, fault, cert, &audit.options),
         None => AuditStatus::Refuted {
             reason: "detected fault emitted no certificate".to_owned(),
         },
     };
+    perf.audit_nanos += started.elapsed().as_nanos() as u64;
     if let AuditStatus::Refuted { reason } = status {
         result.status = FaultStatus::AuditFailed { reason };
     }
@@ -1961,7 +1976,7 @@ mod tests {
         // p=1.0 makes the outcome schedule-independent: the first two spawn
         // attempts are refused and the first two workers to reach the run
         // site die, regardless of thread interleaving.
-        failpoint::install(
+        failpoint::install_scoped(
             ChaosSchedule::empty(11)
                 .with_site(
                     "fp/campaign.worker.spawn",

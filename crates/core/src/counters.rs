@@ -92,6 +92,11 @@ pub struct PerfCounters {
     pub expand_nanos: u64,
     /// Section 3.4 resimulation of expanded sequences.
     pub resim_nanos: u64,
+    /// Certificate audit replay of sampled detections
+    /// (`CampaignOptions::audit`), on both the screened and the pipeline
+    /// paths. The audit charges no gate evaluations: `gate_evals` meters
+    /// the procedure alone, audited or not.
+    pub audit_nanos: u64,
     /// Nets newly specified by firing statically learned implications
     /// (`MoaOptions::static_learning`); zero when learning is off.
     pub learned_hits: u64,
@@ -123,6 +128,7 @@ impl AddAssign for PerfCounters {
         self.imply_nanos += rhs.imply_nanos;
         self.expand_nanos += rhs.expand_nanos;
         self.resim_nanos += rhs.resim_nanos;
+        self.audit_nanos += rhs.audit_nanos;
         self.learned_hits += rhs.learned_hits;
         self.max_frontier = self.max_frontier.max(rhs.max_frontier);
         self.worker_respawns += rhs.worker_respawns;
@@ -135,13 +141,14 @@ impl fmt::Display for PerfCounters {
         let ms = |nanos: u64| nanos as f64 / 1.0e6;
         write!(
             f,
-            "gate evals={} screen={:.1}ms collect={:.1}ms (imply={:.1}ms) expand={:.1}ms resim={:.1}ms",
+            "gate evals={} screen={:.1}ms collect={:.1}ms (imply={:.1}ms) expand={:.1}ms resim={:.1}ms audit={:.1}ms",
             self.gate_evals,
             ms(self.screen_nanos),
             ms(self.collect_nanos),
             ms(self.imply_nanos),
             ms(self.expand_nanos),
             ms(self.resim_nanos),
+            ms(self.audit_nanos),
         )?;
         if self.learned_hits > 0 {
             write!(f, " learned hits={}", self.learned_hits)?;
@@ -267,6 +274,7 @@ mod tests {
             imply_nanos: 1,
             expand_nanos: 3,
             resim_nanos: 4,
+            audit_nanos: 5,
             learned_hits: 6,
             max_frontier: 16,
             worker_respawns: 1,
@@ -275,6 +283,7 @@ mod tests {
         p += p;
         assert_eq!(p.gate_evals, 10);
         assert_eq!(p.resim_nanos, 8);
+        assert_eq!(p.audit_nanos, 10);
         assert_eq!(p.learned_hits, 12);
         assert_eq!(p.max_frontier, 16, "high-water mark merges by max");
         assert_eq!(p.worker_respawns, 2);

@@ -1077,7 +1077,7 @@ mod tests {
         use crate::failpoint::{self, ChaosSchedule, FailAction, SitePlan};
         let _guard = failpoint::test_lock();
         let (d, _, dir) = dispatcher("fp", 1, quick());
-        failpoint::install(ChaosSchedule::empty(9).with_site(
+        failpoint::install_scoped(ChaosSchedule::empty(9).with_site(
             "fp/dispatch.lease",
             SitePlan::new(1.0, vec![FailAction::Error]).with_max_fires(1),
         ));

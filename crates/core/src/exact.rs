@@ -6,12 +6,15 @@
 //! initial states of the faulty machine produces an output sequence that
 //! conflicts with the (three-valued) fault-free response at some position
 //! where the fault-free value is specified. This module enumerates all
-//! initial states, 64 at a time, with the bit-parallel simulator — feasible
-//! for small `k` and used by the test suites to validate that the paper's
+//! initial states, 64 at a time, with the two-valued replay kernel
+//! [`BinaryReplay`] (the one the certificate audit uses) — feasible for
+//! small `k` and used by the test suites to validate that the paper's
 //! procedure is *sound* (it never claims detection the exact check refutes).
+//! A mismatch is never undone, so a batch stops at the first frame by which
+//! every one of its states has mismatched.
 
 use moa_netlist::{Circuit, Fault};
-use moa_sim::{packed_next_state, packed_outputs, run_packed_frame, SimTrace, TestSequence};
+use moa_sim::{BinaryReplay, PackedValues, SimTrace, TestSequence};
 
 use crate::audit::{audit_certificate, AuditOptions, AuditStatus};
 use crate::certificate::DetectionCertificate;
@@ -84,36 +87,32 @@ pub fn exact_moa_check(
         .map(|p| p.iter().map(|v| v.to_bool().expect("binary")).collect())
         .collect();
 
+    let replay = BinaryReplay::new(circuit, Some(fault));
+    let mut values = PackedValues::new(circuit);
+    let mut state = vec![0u64; k];
     let total: u64 = 1u64 << k;
     let mut base = 0u64;
     while base < total {
         let batch = (total - base).min(64) as u32;
         let valid: u64 = if batch == 64 { u64::MAX } else { (1u64 << batch) - 1 };
         // Slot s encodes initial state index base + s.
-        let mut state: Vec<u64> = (0..k)
-            .map(|i| {
-                let mut word = 0u64;
-                for s in 0..u64::from(batch) {
-                    if (base + s) >> i & 1 == 1 {
-                        word |= 1 << s;
-                    }
-                }
-                word
-            })
-            .collect();
+        BinaryReplay::load_initial_states(base, &mut state);
 
         let mut mismatched = 0u64;
         for (u, pattern) in patterns.iter().enumerate() {
-            let frame = run_packed_frame(circuit, pattern, &state, Some(fault));
-            let outs = packed_outputs(circuit, &frame);
-            for (o, &word) in outs.iter().enumerate() {
-                match good.outputs[u][o].to_bool() {
-                    Some(true) => mismatched |= !word,
-                    Some(false) => mismatched |= word,
+            replay.step(circuit, pattern, &mut state, &mut values);
+            for (&net, good_value) in circuit.outputs().iter().zip(&good.outputs[u]) {
+                match good_value.to_bool() {
+                    Some(true) => mismatched |= !values[net],
+                    Some(false) => mismatched |= values[net],
                     None => {}
                 }
             }
-            state = packed_next_state(circuit, &frame, Some(fault));
+            // A mismatch is never undone: once every slot has one, later
+            // frames cannot change the batch's verdict.
+            if mismatched & valid == valid {
+                break;
+            }
         }
 
         let surviving = valid & !mismatched;

@@ -37,6 +37,16 @@
 //! | `fp/serve.recv` | daemon/worker protocol line reads (CLI) | error, panic, delay |
 //! | `fp/dispatch.lease` | dispatch-table lease grants | error, panic, delay |
 //!
+//! # Scope
+//!
+//! [`install`] arms a schedule for the whole process: every thread that
+//! reaches a site draws from it (the daemon soaks and `--chaos-seed` rely
+//! on that). [`install_scoped`] arms it only for the installing thread and
+//! the threads that enter its [`Scope`] — the campaign's worker threads and
+//! the shard supervisor's watched workers do so when they are spawned — so
+//! a unit test's schedule never fires in, or loses fires to, the campaigns
+//! other tests run concurrently in the same process.
+//!
 //! The `fp/bench.parse` and `fp/analyze.pass` sites live in crates that
 //! cannot depend on this one; [`install`]/[`clear`] wire them up through
 //! function-pointer hooks those crates expose behind their own
@@ -53,7 +63,9 @@
 //! assert!(!failpoint::is_armed());
 //! ```
 
+use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -309,6 +321,8 @@ impl ChaosSchedule {
 
 struct Armed {
     schedule: ChaosSchedule,
+    /// The [`Scope`] the schedule is confined to; `None` arms every thread.
+    scope: Option<u64>,
     /// Per-site hit counters (how many times each site was reached).
     hits: HashMap<String, u64>,
     /// Fired `(site, action-kind)` combinations with their counts.
@@ -316,6 +330,32 @@ struct Armed {
 }
 
 static ARMED: Mutex<Option<Armed>> = Mutex::new(None);
+
+/// Source of fresh scope tokens (0 is "no scope").
+static NEXT_SCOPE: AtomicU64 = AtomicU64::new(1);
+
+thread_local! {
+    /// The scope token this thread belongs to (0: none).
+    static THREAD_SCOPE: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The failpoint scope of a thread: a thread that spawns workers captures
+/// its [`Scope::current`] and each worker [`Scope::enter`]s it, so a
+/// schedule armed by [`install_scoped`] follows the work onto the workers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Scope(u64);
+
+impl Scope {
+    /// The calling thread's scope.
+    pub fn current() -> Scope {
+        Scope(THREAD_SCOPE.with(Cell::get))
+    }
+
+    /// Moves the calling thread into this scope.
+    pub fn enter(self) {
+        THREAD_SCOPE.with(|scope| scope.set(self.0));
+    }
+}
 
 fn lock() -> std::sync::MutexGuard<'static, Option<Armed>> {
     // A panic raised *by* a failpoint never holds this lock (actions are
@@ -328,8 +368,22 @@ fn lock() -> std::sync::MutexGuard<'static, Option<Armed>> {
 /// wires up the cross-crate hook sites (`fp/bench.parse`,
 /// `fp/analyze.pass`).
 pub fn install(schedule: ChaosSchedule) {
+    arm(schedule, None);
+}
+
+/// Like [`install`], but arms `schedule` only for the calling thread and
+/// the threads that enter its [`Scope`]; every other thread passes the
+/// sites untouched, and its hits are not counted.
+pub fn install_scoped(schedule: ChaosSchedule) {
+    let token = NEXT_SCOPE.fetch_add(1, Ordering::Relaxed);
+    Scope(token).enter();
+    arm(schedule, Some(token));
+}
+
+fn arm(schedule: ChaosSchedule, scope: Option<u64>) {
     *lock() = Some(Armed {
         schedule,
+        scope,
         hits: HashMap::new(),
         fired: BTreeMap::new(),
     });
@@ -415,6 +469,9 @@ fn decide(seed: u64, site: &str, hit: u64, plan: &SitePlan) -> Option<FailAction
 fn draw(site: &str) -> Option<FailAction> {
     let mut guard = lock();
     let armed = guard.as_mut()?;
+    if armed.scope.is_some_and(|owner| owner != Scope::current().0) {
+        return None;
+    }
     let plan = armed.schedule.sites.get(site)?;
     let hit = armed.hits.entry(site.to_owned()).or_insert(0);
     let this_hit = *hit;
@@ -516,7 +573,7 @@ mod tests {
     #[test]
     fn install_draw_clear_roundtrip() {
         let _g = guard();
-        install(ChaosSchedule::empty(1).with_site(
+        install_scoped(ChaosSchedule::empty(1).with_site(
             "fp/test.always",
             SitePlan::new(1.0, vec![FailAction::Error]),
         ));
@@ -532,9 +589,31 @@ mod tests {
     }
 
     #[test]
+    fn scoped_schedule_fires_only_inside_its_scope() {
+        let _g = guard();
+        install_scoped(ChaosSchedule::empty(2).with_site(
+            "fp/test.scoped",
+            SitePlan::new(1.0, vec![FailAction::Error]),
+        ));
+        let scope = Scope::current();
+        std::thread::scope(|s| {
+            let outsider = s.spawn(|| fires_error("fp/test.scoped"));
+            assert!(!outsider.join().expect("outsider"), "other threads pass untouched");
+            let member = s.spawn(move || {
+                scope.enter();
+                fires_error("fp/test.scoped")
+            });
+            assert!(member.join().expect("member"), "a thread that entered the scope draws");
+        });
+        assert!(fires_error("fp/test.scoped"), "the installing thread draws");
+        assert_eq!(fired_combos(), vec![(("fp/test.scoped".to_owned(), "error"), 2)]);
+        clear();
+    }
+
+    #[test]
     fn max_fires_caps_a_site() {
         let _g = guard();
-        install(ChaosSchedule::empty(3).with_site(
+        install_scoped(ChaosSchedule::empty(3).with_site(
             "fp/test.capped",
             SitePlan::new(1.0, vec![FailAction::Error]).with_max_fires(2),
         ));
@@ -546,7 +625,7 @@ mod tests {
     #[test]
     fn inflate_charges_the_meter() {
         let _g = guard();
-        install(ChaosSchedule::empty(4).with_site(
+        install_scoped(ChaosSchedule::empty(4).with_site(
             "fp/test.inflate",
             SitePlan::new(1.0, vec![FailAction::InflateWork(100)]),
         ));
@@ -572,7 +651,7 @@ mod tests {
         // Parse once before arming to prove the baseline succeeds.
         let src = "INPUT(a)\nOUTPUT(z)\nz = NOT(a)\n";
         assert!(moa_netlist::parse_bench(src).is_ok());
-        install(ChaosSchedule::empty(5).with_site(
+        install_scoped(ChaosSchedule::empty(5).with_site(
             "fp/bench.parse",
             SitePlan::new(1.0, vec![FailAction::Error]).with_max_fires(1),
         ));
@@ -592,7 +671,7 @@ mod tests {
         let _g = guard();
         let circuit =
             moa_netlist::parse_bench("INPUT(a)\nOUTPUT(z)\nz = NOT(a)\n").expect("valid bench");
-        install(ChaosSchedule::empty(6).with_site(
+        install_scoped(ChaosSchedule::empty(6).with_site(
             "fp/analyze.pass",
             SitePlan::new(1.0, vec![FailAction::Delay(Duration::from_millis(1))]),
         ));
@@ -606,7 +685,7 @@ mod tests {
         );
         // The panic path: a pass hook panic propagates out of run_passes
         // (there is no isolation inside `moa analyze`).
-        install(ChaosSchedule::empty(6).with_site(
+        install_scoped(ChaosSchedule::empty(6).with_site(
             "fp/analyze.pass",
             SitePlan::new(1.0, vec![FailAction::Panic]).with_max_fires(1),
         ));

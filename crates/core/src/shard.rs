@@ -416,9 +416,13 @@ fn run_attempt(
     let (tx, rx) = mpsc::channel();
     let worker_inputs = Arc::clone(shared);
     let worker_path = path.to_owned();
+    #[cfg(feature = "failpoints")]
+    let chaos_scope = crate::failpoint::Scope::current();
     let spawned = thread::Builder::new()
         .name(format!("moa-shard-{shard_id}"))
         .spawn(move || {
+            #[cfg(feature = "failpoints")]
+            chaos_scope.enter();
             let result =
                 catch_unwind(AssertUnwindSafe(|| run(&worker_inputs, &worker_path)));
             let _ = tx.send(result);
@@ -1052,7 +1056,7 @@ mod tests {
         let seq = TestSequence::from_words(&["0", "0", "0"]).expect("valid sequence");
         let faults = full_fault_list(&c);
         let dir = temp_dir("quarantine");
-        failpoint::install(
+        failpoint::install_scoped(
             ChaosSchedule::empty(7)
                 .with_site("fp/shard.run", SitePlan::new(1.0, vec![FailAction::Panic])),
         );
@@ -1083,7 +1087,7 @@ mod tests {
         let seq = TestSequence::from_words(&["0", "0", "0"]).expect("valid sequence");
         let faults = full_fault_list(&c);
         let dir = temp_dir("timeout");
-        failpoint::install(ChaosSchedule::empty(7).with_site(
+        failpoint::install_scoped(ChaosSchedule::empty(7).with_site(
             "fp/shard.run",
             SitePlan::new(1.0, vec![FailAction::Delay(Duration::from_millis(500))]),
         ));

@@ -10,8 +10,10 @@
 //! - [`SimTrace`], [`simulate`] — good- or faulty-machine simulation of a whole
 //!   sequence from the all-`X` initial state (or any given state),
 //! - [`conventional_detection`] — single-observation-time detection,
-//! - [`PackedValues`] and the `packed_*` helpers — 64-way bit-parallel
-//!   *binary* simulation used by the exact restricted-MOA checker,
+//! - [`BinaryReplay`] / [`PackedValues`] — the 64-way bit-parallel
+//!   *binary* replay kernel (64 initial states per pass, one fault compiled
+//!   in, caller-owned buffers) behind the exact restricted-MOA checker and
+//!   the certificate audit,
 //! - [`screen_faults`] / [`FaultBatch`] — 64-way *parallel-fault* screening
 //!   (one distinct fault per bit slot) used by the campaign's conventional
 //!   pre-pass,
@@ -50,7 +52,7 @@ pub use conventional::{conventional_detection, run_conventional, Detection};
 pub use differential::{simulate_differential, simulate_differential_counted, GoodFrames};
 pub use event::EventSim;
 pub use frame::{compute_frame, frame_next_state, frame_outputs, NetValues};
-pub use packed::{packed_next_state, packed_outputs, run_packed_frame, PackedValues};
+pub use packed::{BinaryReplay, PackedValues};
 pub use packed3::{Packed3, PackedV3, PackedV3Values};
 pub use packed_faults::{
     screen_faults, screen_faults_wide, FaultBatch, ScreenLanes, ScreenOutcome, SCREEN_LANES,

@@ -5,8 +5,9 @@ use proptest::prelude::*;
 use moa_repro::circuits::synth::{generate, SynthSpec};
 use moa_repro::core::imply::{FrameContext, ImplyOutcome};
 use moa_repro::core::{
-    audit_certificate, exact_moa_check, simulate_fault_certified, AuditOptions, BudgetMeter,
-    ClaimKind, ExactOutcome, MoaOptions,
+    audit_certificate, exact_moa_check, simulate_fault_certified, AuditOptions, AuditStatus,
+    BudgetMeter, CertificateClaim, CertificateSource, ClaimKind, DetectionCertificate,
+    ExactOutcome, MoaOptions,
 };
 use moa_repro::logic::V3;
 use moa_repro::netlist::{
@@ -14,8 +15,9 @@ use moa_repro::netlist::{
     write_bench, Circuit, Fault,
 };
 use moa_repro::sim::{
-    compute_frame, conventional_detection, packed_next_state, run_packed_frame, simulate,
-    simulate_differential, FaultBatch, GoodFrames, Packed3, TestSequence,
+    compute_frame, conventional_detection, frame_next_state, frame_outputs, simulate,
+    simulate_differential, BinaryReplay, FaultBatch, GoodFrames, Packed3, PackedValues, SimTrace,
+    TestSequence,
 };
 use moa_repro::tpg::random_sequence;
 
@@ -40,6 +42,323 @@ fn arb_pattern(circuit: &Circuit) -> Vec<V3> {
     (0..circuit.num_inputs())
         .map(|i| V3::from_bool(i % 2 == 0))
         .collect()
+}
+
+/// Circuits with up to 8 flip-flops: up to 256 initial states, so the
+/// 64-slot replay runs several batches.
+fn arb_audit_spec() -> impl Strategy<Value = SynthSpec> {
+    (1usize..4, 1usize..4, 1usize..9, 10usize..40, any::<u64>()).prop_map(
+        |(inputs, outputs, ffs, extra_gates, seed)| {
+            SynthSpec::new(
+                "audit",
+                inputs,
+                outputs,
+                ffs,
+                ffs + outputs + extra_gates,
+                seed,
+            )
+        },
+    )
+}
+
+/// One binary initial state's faulty behaviour over the whole sequence:
+/// `states[u]` for every time unit `u` in `0..=L`, `outputs[u]` for `u` in
+/// `0..L`.
+struct Behaviour {
+    states: Vec<Vec<bool>>,
+    outputs: Vec<Vec<bool>>,
+}
+
+/// The reference the replay kernel answers to: each initial state replayed
+/// on its own, over the full sequence, by the scalar three-valued
+/// simulator (which stays binary from a binary state under binary inputs).
+fn scalar_behaviours(c: &Circuit, seq: &TestSequence, fault: &Fault) -> Vec<Behaviour> {
+    let k = c.num_flip_flops();
+    let binary = |values: &[V3]| -> Vec<bool> {
+        values
+            .iter()
+            .map(|v| v.to_bool().expect("binary replay"))
+            .collect()
+    };
+    (0..1u64 << k)
+        .map(|index| {
+            let mut state: Vec<V3> = (0..k).map(|i| V3::from_bool(index >> i & 1 == 1)).collect();
+            let mut behaviour = Behaviour {
+                states: Vec::new(),
+                outputs: Vec::new(),
+            };
+            for u in 0..seq.len() {
+                behaviour.states.push(binary(&state));
+                let frame = compute_frame(c, seq.pattern(u), &state, Some(fault));
+                behaviour.outputs.push(binary(&frame_outputs(c, &frame)));
+                state = frame_next_state(c, &frame, Some(fault));
+            }
+            behaviour.states.push(binary(&state));
+            behaviour
+        })
+        .collect()
+}
+
+/// `audit_certificate`'s verdict recomputed from the scalar behaviours, for
+/// certificates that pass its structural pre-checks.
+fn reference_audit(behaviours: &[Behaviour], cert: &DetectionCertificate) -> AuditStatus {
+    for (index, b) in behaviours.iter().enumerate() {
+        let (mut infeasible_hit, mut violated, mut covered) = (false, false, false);
+        for claim in &cert.claims {
+            if !claim
+                .assignments
+                .iter()
+                .all(|&(u, i, value)| b.states[u][i] == value)
+            {
+                continue;
+            }
+            match claim.kind {
+                ClaimKind::Infeasible { .. } => infeasible_hit = true,
+                ClaimKind::Observation {
+                    time,
+                    output,
+                    value,
+                } => {
+                    if b.outputs[time][output] == value {
+                        covered = true;
+                    } else {
+                        violated = true;
+                    }
+                }
+            }
+        }
+        let reason = if infeasible_hit {
+            format!("initial state {index} is a concrete witness for an infeasibility claim")
+        } else if violated {
+            format!("initial state {index} satisfies an observation claim whose claimed output value does not replay")
+        } else if !covered {
+            format!("initial state {index} is not covered by any observation claim")
+        } else {
+            continue;
+        };
+        return AuditStatus::Refuted { reason };
+    }
+    AuditStatus::Confirmed {
+        states_checked: behaviours.len() as u64,
+    }
+}
+
+/// `exact_moa_check`'s verdict recomputed from the scalar behaviours.
+fn reference_exact(behaviours: &[Behaviour], good: &SimTrace) -> ExactOutcome {
+    for b in behaviours {
+        let mismatched = b.outputs.iter().zip(&good.outputs).any(|(faulty, good)| {
+            faulty
+                .iter()
+                .zip(good)
+                .any(|(&f, g)| g.to_bool() == Some(!f))
+        });
+        if !mismatched {
+            return ExactOutcome::NotDetected {
+                surviving_state: b.states[0].clone(),
+            };
+        }
+    }
+    ExactOutcome::Detected
+}
+
+/// Genuine and forged certificates for one fault, all passing the audit's
+/// structural pre-checks: conventional claims at every specified output,
+/// random cubes and observations, genuine certificates with a claim taken
+/// away, and infeasibility claims built from a concrete trajectory (so
+/// they always have a witness).
+fn certificates(
+    genuine: Option<DetectionCertificate>,
+    behaviours: &[Behaviour],
+    good: &SimTrace,
+    seed: u64,
+) -> Vec<DetectionCertificate> {
+    use rand::{Rng, SeedableRng};
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let len = good.outputs.len();
+    let k = behaviours[0].states[0].len();
+    let specified: Vec<(usize, usize, bool)> = good
+        .outputs
+        .iter()
+        .enumerate()
+        .flat_map(|(t, outs)| {
+            outs.iter()
+                .enumerate()
+                .filter_map(move |(o, v)| v.to_bool().map(|g| (t, o, !g)))
+        })
+        .collect();
+    let make = |claims| DetectionCertificate {
+        source: CertificateSource::Expansion,
+        claims,
+    };
+    let observe = |(time, output, value): (usize, usize, bool), assignments| CertificateClaim {
+        assignments,
+        kind: ClaimKind::Observation {
+            time,
+            output,
+            value,
+        },
+    };
+    let mut certs = Vec::new();
+    for &at in specified.iter().take(6) {
+        certs.push(make(vec![observe(at, Vec::new())]));
+    }
+    for _ in 0..6 {
+        let claims = (0..rng.random_range(1..5usize))
+            .map(|_| {
+                let assignments = (0..rng.random_range(0..3usize))
+                    .map(|_| {
+                        (
+                            rng.random_range(0..len + 1),
+                            rng.random_range(0..k),
+                            rng.random(),
+                        )
+                    })
+                    .collect();
+                if specified.is_empty() || rng.random_bool(0.2) {
+                    CertificateClaim {
+                        assignments,
+                        kind: ClaimKind::Infeasible {
+                            time: rng.random_range(0..len + 1),
+                        },
+                    }
+                } else {
+                    observe(specified[rng.random_range(0..specified.len())], assignments)
+                }
+            })
+            .collect();
+        certs.push(make(claims));
+    }
+    if let Some(genuine) = &genuine {
+        if genuine.claims.len() > 1 {
+            let mut missing = genuine.clone();
+            missing
+                .claims
+                .remove(rng.random_range(0..genuine.claims.len()));
+            certs.push(missing);
+        }
+        // Confined to the states whose top flip-flop starts at 0: the lowest
+        // uncovered state, if the rest holds, is 2^(k-1) — a later batch for
+        // k > 7.
+        let mut halved = genuine.clone();
+        for claim in &mut halved.claims {
+            claim.assignments.push((0, k - 1, false));
+        }
+        certs.push(halved);
+    }
+    // An infeasibility claim whose cube pins a whole initial state (plus a
+    // few trajectory bits of it): that state is a witness, and no lower one
+    // is.
+    let base = genuine.clone().or_else(|| {
+        (!specified.is_empty()).then(|| {
+            make(vec![observe(
+                specified[rng.random_range(0..specified.len())],
+                Vec::new(),
+            )])
+        })
+    });
+    if let Some(base) = base {
+        let index = rng.random_range(0..behaviours.len());
+        let witness = &behaviours[index];
+        let mut cube: Vec<(usize, usize, bool)> =
+            (0..k).map(|i| (0, i, witness.states[0][i])).collect();
+        for _ in 0..rng.random_range(0..3usize) {
+            let (u, i) = (rng.random_range(0..len + 1), rng.random_range(0..k));
+            cube.push((u, i, witness.states[u][i]));
+        }
+        let mut infeasible = base;
+        infeasible.claims.push(CertificateClaim {
+            assignments: cube,
+            kind: ClaimKind::Infeasible {
+                time: rng.random_range(0..len + 1),
+            },
+        });
+        certs.push(infeasible);
+    }
+    certs.extend(genuine);
+    // When every state mismatches somewhere, one claim per initial state
+    // (its full state as the cube, its first mismatch as the observation)
+    // is a valid certificate; dropping or retiming the claim of one state
+    // from the upper half makes that state the lowest witness.
+    let first_mismatch = |b: &Behaviour| {
+        specified
+            .iter()
+            .copied()
+            .find(|&(t, o, value)| b.outputs[t][o] == value)
+    };
+    let per_state: Option<Vec<CertificateClaim>> = behaviours
+        .iter()
+        .map(|b| {
+            let cube = (0..k).map(|i| (0, i, b.states[0][i])).collect();
+            first_mismatch(b).map(|at| observe(at, cube))
+        })
+        .collect();
+    if let Some(claims) = per_state {
+        let victim = rng.random_range(claims.len() / 2..claims.len());
+        let mut dropped = claims.clone();
+        dropped.remove(victim);
+        certs.push(make(dropped));
+        let b = &behaviours[victim];
+        if let Some(&wrong) = specified
+            .iter()
+            .find(|&&(t, o, value)| b.outputs[t][o] != value)
+        {
+            let mut retimed = claims.clone();
+            retimed[victim] = observe(wrong, retimed[victim].assignments.clone());
+            certs.push(make(retimed));
+        }
+        certs.push(make(claims));
+    }
+    certs
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The packed audit (replay horizon, claim index, 64-slot batches) and
+    /// the exact check (early batch exit) give exactly the verdicts — and
+    /// the refutation reasons, witness index included — of a full-length,
+    /// one-state-at-a-time scalar replay, on genuine and forged
+    /// certificates alike.
+    #[test]
+    fn audit_and_exact_agree_with_a_scalar_reference(
+        spec in arb_audit_spec(),
+        seq_len in 2usize..12,
+        seq_seed in any::<u64>(),
+        fault_seed in any::<u64>(),
+    ) {
+        let c = generate(&spec);
+        let seq = random_sequence(&c, seq_len, seq_seed);
+        let good = simulate(&c, &seq, None);
+        let faults = full_fault_list(&c);
+        // Half the picks come from the conventionally detected faults, whose
+        // every initial state mismatches: the per-state certificates need
+        // those.
+        let detected: Vec<Fault> = faults
+            .iter()
+            .filter(|f| conventional_detection(&good, &simulate(&c, &seq, Some(f))).is_some())
+            .copied()
+            .collect();
+        let options = AuditOptions::default();
+        for pick in 0..8u64 {
+            let pool = if pick % 2 == 1 && !detected.is_empty() { &detected } else { &faults };
+            let fault = &pool[((fault_seed ^ pick.wrapping_mul(0x9E37_79B9)) % pool.len() as u64) as usize];
+            let behaviours = scalar_behaviours(&c, &seq, fault);
+            let exact = exact_moa_check(&c, &seq, &good, fault, 16).expect("enumerable");
+            prop_assert_eq!(exact, reference_exact(&behaviours, &good), "{}", fault.describe(&c));
+            let (_, genuine) = simulate_fault_certified(
+                &c, &seq, &good, fault, &MoaOptions::default(), None,
+                &mut BudgetMeter::unlimited(),
+            );
+            for cert in certificates(genuine, &behaviours, &good, fault_seed ^ pick) {
+                let verdict = audit_certificate(&c, &seq, &good, fault, &cert, &options);
+                prop_assert_eq!(
+                    &verdict,
+                    &reference_audit(&behaviours, &cert),
+                    "{} {:?}", fault.describe(&c), cert
+                );
+            }
+        }
+    }
 }
 
 proptest! {
@@ -111,22 +430,15 @@ proptest! {
         let outcome = ctx.imply(&[(d_net, V3::from_bool(alpha))], rounds);
 
         // Enumerate all binary completions of the present state with the
-        // 64-way packed simulator.
+        // 64-way two-valued replay kernel.
         let packed_pattern: Vec<bool> =
             pattern.iter().map(|v| v.to_bool().expect("binary")).collect();
         let total = 1u64 << k;
         prop_assume!(total <= 64);
-        let packed_state: Vec<u64> = (0..k)
-            .map(|bit| {
-                let mut w = 0u64;
-                for s in 0..total {
-                    if s >> bit & 1 == 1 { w |= 1 << s; }
-                }
-                w
-            })
-            .collect();
-        let frame = run_packed_frame(&c, &packed_pattern, &packed_state, None);
-        let next = packed_next_state(&c, &frame, None);
+        let mut next = vec![0u64; k];
+        BinaryReplay::load_initial_states(0, &mut next);
+        let mut frame = PackedValues::new(&c);
+        BinaryReplay::new(&c, None).step(&c, &packed_pattern, &mut next, &mut frame);
         let valid = if total == 64 { u64::MAX } else { (1u64 << total) - 1 };
         let matching = if alpha { next[i] & valid } else { !next[i] & valid };
 
